@@ -240,18 +240,15 @@ struct ModeledRun {
 
 // construct the cluster, solve, tear the cluster down: what one sweep point
 // costs a bench binary
-ModeledRun run_modeled(const ModeledOp& op, bool trace, bool telemetry,
-                       std::optional<int> iterations = std::nullopt) {
+ModeledRun run_modeled(const ModeledOp& op, bool trace, bool telemetry) {
   sim::ClusterSpec spec = op.spec;
   spec.trace.enabled = trace;
   spec.telemetry.enabled = telemetry;
-  parallel::ModeledSolverConfig cfg = op.cfg;
-  if (iterations) cfg.iterations = *iterations;
   ModeledRun out;
   const double t0 = now_s();
   {
     sim::VirtualCluster cluster(spec);
-    out.r = parallel::run_modeled_solver(cluster, cfg);
+    out.r = parallel::run_modeled_solver(cluster, op.cfg);
   }
   out.host_s = now_s() - t0;
   return out;
