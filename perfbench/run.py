@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Host-time benchmark of the simulated multi-GPU cluster.
 
-Builds the library and the perfbench driver from source into .bench_build/,
+Builds the library and the perfbench binary from source into .bench_build/,
 runs one workload in its own process, checks every op's outputs, and prints
 the metrics as the last stdout line:
 
