@@ -63,6 +63,20 @@ class Aggregation(unittest.TestCase):
         self.assertAlmostEqual(m["sim_gflops"], REF["fig5b/single,overlap/8"]["gflops"])
         self.assertEqual(m["solver_iters"], 100)
 
+    def test_propagator_run_s_is_pass_iters_at_fastest_rate(self):
+        def solve(op_id, pass_, host_s, iters):
+            return op(op_id, pass_, host_s, fits=True, iters=iters, gflops=14.0, converged=True)
+        records = [
+            solve("prop/spin0-color0", 0, 2.0, 20), solve("prop/spin0-color1", 0, 3.3, 22),
+            solve("prop/spin0-color0", 1, 1.6, 20), solve("prop/spin0-color1", 1, 1.65, 22),
+            solve("prop/spin0-color0", 2, 1.9, 20),
+            {"type": "summary", "vmhwm": "VmHWM:\t    2048 kB"},
+        ]
+        m = run.end_to_end(records, [0.3])
+        # fastest rate 1.65 s / 22 iterations = 0.075 s, over 20 + 22 iterations
+        self.assertAlmostEqual(m["run_s"], 0.075 * 42)
+        self.assertEqual(m["solver_iters"], 42)
+
     def test_other_s_closes_the_layer_sum(self):
         layers = {k: 0.5 for k in run.PER_LAYER}
         layers.update({"type": "layers", "run_s": 4.0, "traced_pass_s": 9.0, "sim.events": 1e6})

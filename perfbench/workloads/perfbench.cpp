@@ -6,8 +6,8 @@
 // workloads and the metric -> layer -> workload map.
 //
 //   perfbench --workload <fig5_sweep|fattree_1024|propagator> --seed <n>
-//             --seconds <s> --trace <0|1> --threads <n> [--spawn-mono <t>]
-//             [--setup-only]
+//             --seconds <s> --trace <0|1> --threads <n> [--probe-threads <n>]
+//             [--spawn-mono <t>] [--setup-only]
 //   perfbench --reference      (simulated outputs of every modeled op)
 //
 // Host time is measured around calls into the library's public functions
@@ -734,6 +734,7 @@ struct Args {
   double seconds = 10;
   bool trace = false;
   int threads = 1;
+  int probe_threads = 0; // budget of the exec.solve_speedup probe; 0 = threads
   double spawn_mono = -1;
   bool setup_only = false;
   bool reference = false;
@@ -752,12 +753,15 @@ Args parse_args(int argc, char** argv) {
     else if (k == "--seconds") a.seconds = std::stod(value());
     else if (k == "--trace") a.trace = std::stoi(value()) != 0;
     else if (k == "--threads") a.threads = std::stoi(value());
+    else if (k == "--probe-threads") a.probe_threads = std::stoi(value());
     else if (k == "--spawn-mono") a.spawn_mono = std::stod(value());
     else if (k == "--setup-only") a.setup_only = true;
     else if (k == "--reference") a.reference = true;
     else throw std::invalid_argument("unknown argument " + k);
   }
   if (a.threads < 1) throw std::invalid_argument("--threads must be >= 1");
+  if (a.probe_threads == 0) a.probe_threads = a.threads;
+  if (a.probe_threads < 1) throw std::invalid_argument("--probe-threads must be >= 1");
   return a;
 }
 
@@ -802,6 +806,7 @@ int bench_main(const Args& a) {
       .str("workload", a.workload)
       .num("seed", static_cast<double>(a.seed))
       .num("threads", exec::thread_budget())
+      .num("probe_threads", a.probe_threads)
       .str("scheduler", sim::scheduler_name(sim::SchedulerKind::Seq))
       .flag("trace", a.trace)
       .raw("library", core::provenance_json(sim::scheduler_name(sim::SchedulerKind::Seq)))
@@ -809,15 +814,28 @@ int bench_main(const Args& a) {
 
   std::uint64_t state = a.seed;
   if (!a.trace) {
-    // whole passes while the next one is expected to end by the deadline
+    // one whole pass, then further ops while the next one is expected to
+    // end by the deadline (its time in the previous pass), so the run fills
+    // its window whether or not the last pass is whole
     const double deadline = first_op + a.seconds;
-    double last_pass_s = 0;
-    for (int pass = 0; pass == 0 || now_s() + last_pass_s <= deadline; ++pass) {
+    std::vector<double> last_s(w->size(), 0.0);
+    bool more = true;
+    for (int pass = 0; more; ++pass) {
       const double t0 = now_s();
       double ops_s = 0;
-      for (std::size_t i : pass_order(w->size(), state)) ops_s += w->run(i, pass);
-      last_pass_s = now_s() - t0;
-      Record("pass").num("pass", pass).num("ops_s", ops_s).num("wall_s", last_pass_s).emit();
+      int ops = 0;
+      for (std::size_t i : pass_order(w->size(), state)) {
+        if (pass > 0 && now_s() + last_s[i] > deadline) {
+          more = false;
+          break;
+        }
+        last_s[i] = w->run(i, pass);
+        ops_s += last_s[i];
+        ++ops;
+      }
+      if (ops > 0)
+        Record("pass").num("pass", pass).num("ops", ops).num("ops_s", ops_s)
+            .num("wall_s", now_s() - t0).emit();
     }
   } else {
     // pass 0 in the workload's own configuration, pass 1 the same ops in
@@ -844,12 +862,20 @@ int bench_main(const Args& a) {
     layers.num("parallel.overlap_efficiency",
                acc.comm_us > 0 ? acc.overlapped_us / acc.comm_us : 0.0);
 
-    const double at_budget = w->probe_op_s();
-    exec::set_thread_budget(1);
-    const double serial = w->probe_op_s();
+    // medians of 3 probe ops per budget, the budgets alternating so that
+    // both see the same host
+    std::vector<double> at_budget, serial;
+    for (int k = 0; k < 3; ++k) {
+      exec::set_thread_budget(a.probe_threads);
+      at_budget.push_back(w->probe_op_s());
+      exec::set_thread_budget(1);
+      serial.push_back(w->probe_op_s());
+    }
     exec::set_thread_budget(a.threads);
-    layers.num("exec.threads", exec::thread_budget());
-    layers.num("exec.solve_speedup", serial / at_budget);
+    std::sort(at_budget.begin(), at_budget.end());
+    std::sort(serial.begin(), serial.end());
+    layers.num("exec.threads", a.probe_threads);
+    layers.num("exec.solve_speedup", serial[1] / at_budget[1]);
 
     kernel_probe(layers);
     ladder_probe(layers);
