@@ -48,8 +48,7 @@ void RankContext::check_death() {
 void RankContext::enter_recovery() {
   {
     core::MutexLock lock(cluster_.mutex_);
-    if (rank_ < static_cast<int>(cluster_.terminal_.size()))
-      cluster_.terminal_[static_cast<std::size_t>(rank_)] = 1;
+    cluster_.mark_terminal(rank_);
   }
   // cascade: peers blocked on this rank re-check their terminal conditions
   cluster_.sched_->wake_all();
@@ -94,6 +93,7 @@ RecoveryEpoch RankContext::recovery_rendezvous() {
     red.max_rank = -1;
     std::fill(red.arrived_mask.begin(), red.arrived_mask.end(), std::uint8_t{0});
     std::fill(cluster_.terminal_.begin(), cluster_.terminal_.end(), std::uint8_t{0});
+    cluster_.terminal_count_ = 0;
     rec.last = out;
     rec.arrived = 0;
     rec.max_arrival = 0;
@@ -171,7 +171,8 @@ RankContext::SendStatus RankContext::isend(int dst, int tag, std::vector<std::by
     core::MutexLock lock(cluster_.mutex_);
     cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
   }
-  cluster_.sched_->wake_all();
+  // only dst's predicate reads this channel
+  cluster_.sched_->wake(dst);
   clock_.advance(spec_.net.mpi_overhead_us);
   return status;
 }
@@ -184,7 +185,7 @@ void RankContext::post_send_failure(int dst, int tag) {
     core::MutexLock lock(cluster_.mutex_);
     cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
   }
-  cluster_.sched_->wake_all();
+  cluster_.sched_->wake(dst);
 }
 
 void RankContext::raise_timeout(const std::string& what) {
@@ -386,13 +387,27 @@ void VirtualCluster::register_death(int rank, DeathKind kind, double time_us) {
   {
     core::MutexLock lock(mutex_);
     deaths_.push_back(DeathRecord{rank, kind, time_us});
-    if (rank < static_cast<int>(terminal_.size()))
-      terminal_[static_cast<std::size_t>(rank)] = 1;
+    mark_terminal(rank);
   }
   sched_->wake_all();
 }
 
+void VirtualCluster::mark_terminal(int rank) {
+  if (rank < 0 || rank >= static_cast<int>(terminal_.size())) return;
+  auto& flag = terminal_[static_cast<std::size_t>(rank)];
+  if (flag == 0) ++terminal_count_;
+  flag = 1;
+}
+
+int VirtualCluster::terminal_count() {
+  core::MutexLock lock(mutex_);
+  return terminal_count_;
+}
+
 bool VirtualCluster::reduction_blocked_by_failure() const {
+  // the common case -- no rank dead or recovering -- answers in O(1); the
+  // scan runs only inside a failure epoch
+  if (terminal_count_ == 0) return false;
   for (std::size_t r = 0; r < terminal_.size(); ++r)
     if (terminal_[r] && (r >= red_.arrived_mask.size() || !red_.arrived_mask[r])) return true;
   return false;
@@ -421,6 +436,7 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
     channels_.clear();
     deaths_.clear();
     terminal_.assign(static_cast<std::size_t>(n), 0);
+    terminal_count_ = 0;
     red_.arrived = 0;
     red_.width = -1;
     for (auto& slot : red_.contrib) slot.clear();

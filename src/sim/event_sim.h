@@ -15,6 +15,14 @@
 // Semantics mirror the MPI subset that QMP exposes and the paper uses:
 // point-to-point non-blocking send/receive with handles, and all-reduce.
 //
+// Wakeups are targeted: a send changes only its receiver's predicate, so
+// isend/post_send_failure wake just dst (RankScheduler::wake); allreduce
+// completion, recovery, poison and death change state every blocked rank
+// may read, and wake all of them.  Transport bookkeeping per event is O(1)
+// in the rank count: channels are a hashed point lookup, and a counter of
+// terminal ranks lets the allreduce failure check skip its scan outside a
+// failure epoch.
+//
 // Fault injection (ClusterSpec::faults) is applied at the transport:
 // isend() stamps each attempt with the rank's deterministic fault draw --
 // dropped attempts become tombstones the receiver silently skips (their
@@ -35,8 +43,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 namespace quda::sim {
@@ -237,6 +246,11 @@ public:
   // enabled via ClusterSpec::telemetry or QUDA_SIM_TELEMETRY
   const telemetry::TelemetryReport& telemetry() const { return telemetry_report_; }
 
+  // ranks currently terminal (dead or recovering) in the running failure
+  // epoch: each rank counts once however many times it is marked, and the
+  // recovery rendezvous resets the count to 0
+  int terminal_count();
+
 private:
   friend class RankContext;
 
@@ -249,12 +263,23 @@ private:
     std::deque<Message> queue;
   };
   using ChannelKey = std::tuple<int, int, int>; // src, dst, tag
+  struct ChannelKeyHash {
+    std::size_t operator()(const ChannelKey& k) const noexcept {
+      constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+      std::uint64_t h = static_cast<std::uint32_t>(std::get<0>(k));
+      h = h * kMul + static_cast<std::uint32_t>(std::get<1>(k));
+      h = h * kMul + static_cast<std::uint32_t>(std::get<2>(k));
+      return static_cast<std::size_t>(h ^ (h >> 31));
+    }
+  };
 
   // mark the cluster failed and wake every blocked rank
   void poison(AbortKind kind);
 
   // record a process death for the current failure epoch and wake everyone
   void register_death(int rank, DeathKind kind, double time_us);
+  // set rank's terminal flag, counting it in terminal_count_ on first marking
+  void mark_terminal(int rank) QUDA_REQUIRES(mutex_);
   // true when some terminal (dead or recovering) rank has not arrived at
   // the in-flight reduction generation, i.e. it can never complete
   bool reduction_blocked_by_failure() const QUDA_REQUIRES(mutex_);
@@ -266,7 +291,9 @@ private:
   // fields under QUDA_SIM_ANALYZE; static_check.py checks coverage always)
   core::Mutex mutex_;
   core::CondVar cv_ QUDA_CV_WAITS_WITH(mutex_);
-  std::map<ChannelKey, Channel> channels_ QUDA_GUARDED_BY(mutex_);
+  // hashed, never iterated (the sim-unordered-iter lint keeps it that way):
+  // every access is a point lookup by (src, dst, tag)
+  std::unordered_map<ChannelKey, Channel, ChannelKeyHash> channels_ QUDA_GUARDED_BY(mutex_);
   bool aborted_ QUDA_GUARDED_BY(mutex_) = false; // a rank threw; peers must not block forever
   AbortKind abort_kind_ QUDA_GUARDED_BY(mutex_) = AbortKind::None;
 
@@ -301,6 +328,7 @@ private:
   // terminal flags (dead or recovering) that unblock waiting peers
   std::vector<DeathRecord> deaths_ QUDA_GUARDED_BY(mutex_);
   std::vector<std::uint8_t> terminal_ QUDA_GUARDED_BY(mutex_);
+  int terminal_count_ QUDA_GUARDED_BY(mutex_) = 0; // set flags in terminal_
 
   // generation-counted recovery rendezvous (all n ranks, incl. respawned)
   struct RecoverySync {

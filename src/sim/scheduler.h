@@ -11,16 +11,22 @@
 //
 //   SeqScheduler -- one cooperative event loop on the calling thread,
 //     running each rank as a stackful fiber (ucontext) with a lazily
-//     committed guard-paged stack.  The loop always resumes the runnable
-//     fiber with the smallest (simulated clock, rank) pair, so execution
-//     order is a pure function of the simulation state -- there is no OS
-//     interleaving left to be nondeterministic about.  Rank count becomes
-//     a parameter: 1024 ranks are 1024 fibers, not 1024 threads.
+//     committed guard-paged stack.  The loop always resumes the ready
+//     fiber with the smallest (simulated clock, rank) pair, popped from a
+//     min-heap keyed at wake time (a parked or ready fiber's clock cannot
+//     move until it runs again), so execution order is a pure function of
+//     the simulation state -- there is no OS interleaving left to be
+//     nondeterministic about -- and a resume costs O(log N), not O(N).
+//     Rank count becomes a parameter: 1024 ranks are 1024 fibers, not 1024
+//     threads.
 //
 // Because message/collective completion times are pure functions of the
 // participants' clocks (conservative DES), the two schedulers produce
 // bit-identical simulated timelines; tests/test_scheduler_equivalence.cpp
-// pins that equivalence differentially.
+// pins that equivalence differentially.  Targeted wake(rank) does not
+// disturb it: a rank woken without cause re-checks its predicate and
+// re-parks without touching simulated state, so waking only the rank whose
+// predicate changed drops nothing but no-op resumes.
 
 #include "core/sync.h"
 #include "sim/cluster_spec.h"
@@ -68,28 +74,35 @@ SchedulerKind resolve_scheduler(SchedulerKind requested);
 // SchedulerCapacityError (QUDA_SIM_MAX_RANK_THREADS overrides; >= 1)
 int threads_scheduler_capacity();
 
-// Execution engine behind VirtualCluster::run.  run() drives every rank
-// body to completion; bodies must not throw (VirtualCluster wraps them).
-// wait_transport/wake_all implement the condition-variable protocol the
-// transport blocks on: the cluster mutex is held on entry and on return of
-// wait_transport, and released while parked.
+// Execution engine behind VirtualCluster::run, with four duties.  run()
+// drives every rank body to completion; bodies must not throw
+// (VirtualCluster wraps them).  wait_transport/wake/wake_all implement the
+// condition-variable protocol the transport blocks on: the cluster mutex is
+// held on entry and on return of wait_transport, and released while parked.
 class RankScheduler {
 public:
   virtual ~RankScheduler() = default;
 
-  // run body(*ranks[r]) once per rank; returns when every rank finished.
+  // run body(*ranks[r]) once per rank, where ranks[r] is rank r; returns
+  // when every rank finished.
   // trace_on binds each rank's tracer as the thread-local trace::current()
   // for the duration of that rank's execution (per resume under seq).
   virtual void run(const std::vector<RankContext*>& ranks, bool trace_on,
                    const std::function<void(RankContext&)>& body) = 0;
 
-  // Park the calling rank until wake_all().  Returns true when the caller
-  // armed a watchdog (wall_timeout_ms > 0) and it fired with no wakeup:
-  // under threads that is a real wall-clock cv timeout; under seq it is the
-  // deterministic equivalent -- every rank is parked, so no wakeup can ever
-  // come.  A seq-mode deadlock with no watchdog armed anywhere throws
+  // Park the calling rank until wake() or wake_all().  Returns true when
+  // the caller armed a watchdog (wall_timeout_ms > 0) and it fired with no
+  // wakeup: under threads that is a real wall-clock cv timeout; under seq it
+  // is the deterministic equivalent -- every rank is parked, so no wakeup
+  // can ever come.  A seq-mode deadlock with no watchdog armed anywhere throws
   // std::runtime_error from the lowest-ranked parked fiber.
   virtual bool wait_transport(core::MutexLock& lock, double wall_timeout_ms) = 0;
+
+  // wake one rank so it re-checks its predicate: the caller changed state
+  // that only that rank's predicate reads (a message landed on its channel).
+  // A rank that is running, ready or finished is left alone.  Under
+  // threads this is notify_all on the shared condvar.
+  virtual void wake(int rank) = 0;
 
   // wake every parked rank so it re-checks its predicate
   virtual void wake_all() = 0;

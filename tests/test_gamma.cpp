@@ -79,7 +79,9 @@ TEST(GammaBasisSpecifics, DRGamma5IsDiagonal) {
   const SpinMatrix& g5 = gamma5(GammaBasis::DeGrandRossi);
   for (std::size_t r = 0; r < 4; ++r)
     for (std::size_t c = 0; c < 4; ++c)
-      if (r != c) EXPECT_LT(norm2(g5.e[r][c]), 1e-24);
+      if (r != c) {
+        EXPECT_LT(norm2(g5.e[r][c]), 1e-24);
+      }
 }
 
 TEST(GammaBasisSpecifics, NRTemporalProjectorsAreDiagonal) {
@@ -132,7 +134,9 @@ TEST(ChiralTransform, DiagonalizesGamma5) {
   EXPECT_NEAR(d.e[3][3].re, -1.0, 1e-12);
   for (std::size_t r = 0; r < 4; ++r)
     for (std::size_t c = 0; c < 4; ++c)
-      if (r != c) EXPECT_LT(norm2(d.e[r][c]), 1e-20);
+      if (r != c) {
+        EXPECT_LT(norm2(d.e[r][c]), 1e-20);
+      }
 }
 
 struct ProjCase {

@@ -10,6 +10,10 @@
 // schedulers at QUDA_SIM_THREADS budgets {1, 2, 8}: the budget throttles
 // host-side parallel_for work and must not perturb the timeline either.
 //
+// The targeted-wakeup edge cases (a send landing on a rank parked in an
+// allreduce, wake() on a running or finished rank, a rank marked terminal
+// twice) compare the two schedulers on hand-written rank bodies.
+//
 // Also pinned here: the typed SchedulerCapacityError raised when the
 // threads scheduler is asked for more ranks than it can service, and the
 // QUDA_SIM_SCHED resolution rules (explicit spec beats environment,
@@ -29,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -329,6 +334,140 @@ TEST(SchedulerEquivalence, RealCrashRecoveryCheckpointRestart) {
     }
   }
   exec::set_thread_budget(0);
+}
+
+// --- targeted-wakeup edge cases ---------------------------------------------
+// A send wakes only its receiver (RankScheduler::wake); allreduce completion,
+// death, recovery and poison wake everyone.  Each case below runs under both
+// schedulers and records, per rank, everything the body observed plus its
+// final clock; the records must match bitwise.  Under threads wake() is a
+// broadcast, so the threads run is the oracle for the seq ready heap.
+
+using WakeCase = std::function<void(sim::VirtualCluster&, sim::RankContext&,
+                                    std::vector<double>&)>;
+
+std::vector<std::vector<double>> run_wake_case(sim::SchedulerKind kind, int ranks,
+                                               const sim::FaultConfig& faults,
+                                               const WakeCase& body) {
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
+  spec.scheduler = kind;
+  spec.faults = faults;
+  sim::VirtualCluster cluster(spec);
+  // each rank appends only to its own row, so the rows need no lock
+  std::vector<std::vector<double>> seen(static_cast<std::size_t>(ranks));
+  cluster.run([&](sim::RankContext& ctx) {
+    auto& row = seen[static_cast<std::size_t>(ctx.rank())];
+    body(cluster, ctx, row);
+    row.push_back(ctx.clock().now_us);
+  });
+  return seen;
+}
+
+// runs body under both schedulers, expects bitwise-equal records, and
+// returns the seq records for any pinned checks
+std::vector<std::vector<double>> expect_same_wake_case(int ranks, const WakeCase& body,
+                                                       const sim::FaultConfig& faults = {}) {
+  const auto threads = run_wake_case(sim::SchedulerKind::Threads, ranks, faults, body);
+  auto seq = run_wake_case(sim::SchedulerKind::Seq, ranks, faults, body);
+  EXPECT_EQ(threads.size(), seq.size());
+  for (std::size_t r = 0; r < threads.size() && r < seq.size(); ++r)
+    EXPECT_EQ(threads[r], seq[r]) << "rank " << r << " observed a different run under seq";
+  return seq;
+}
+
+std::vector<std::byte> bytes_of(int first, int count) {
+  std::vector<std::byte> b(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) b[static_cast<std::size_t>(i)] = std::byte(first + i);
+  return b;
+}
+
+double byte_sum(std::vector<std::byte> b) {
+  double sum = 0;
+  for (std::byte x : b) sum += static_cast<double>(std::to_integer<int>(x));
+  return sum;
+}
+
+// rank 0 parks in an allreduce; rank 1 sends it a message before joining,
+// which wakes rank 0 inside the allreduce for nothing (it re-parks); rank 0
+// receives the message only after the allreduce completes
+TEST(SchedulerEquivalence, MessageToRankParkedInAllreduce) {
+  expect_same_wake_case(4, [](sim::VirtualCluster&, sim::RankContext& ctx,
+                              std::vector<double>& seen) {
+    const int r = ctx.rank();
+    if (r == 1) {
+      ctx.clock().advance(40);
+      (void)ctx.isend(0, 7, bytes_of(3, 64), 4096);
+      ctx.clock().advance(10);
+    } else if (r > 1) {
+      ctx.clock().advance(100.0 * r);
+    }
+    seen.push_back(ctx.allreduce_sum(1.0 + r));
+    if (r == 0) {
+      sim::RecvHandle h = ctx.recv(1, 7);
+      seen.push_back(h.arrival_us());
+      seen.push_back(h.send_time_us());
+      seen.push_back(byte_sum(h.take_payload()));
+    }
+  });
+}
+
+// wake(r) on a running rank (a self-send) and on a finished rank (a send
+// nobody will receive, posted after the receiver returned) is a no-op
+TEST(SchedulerEquivalence, WakeOnRunningOrFinishedRankIsNoOp) {
+  expect_same_wake_case(2, [](sim::VirtualCluster&, sim::RankContext& ctx,
+                              std::vector<double>& seen) {
+    if (ctx.rank() == 1) {
+      (void)ctx.isend(1, 3, bytes_of(1, 8), 512); // wakes itself while running
+      sim::RecvHandle self = ctx.recv(1, 3);
+      seen.push_back(self.arrival_us());
+      seen.push_back(byte_sum(self.take_payload()));
+      (void)ctx.isend(0, 5, bytes_of(9, 16), 1024);
+      return; // finished: rank 0's later send must not resume this rank
+    }
+    sim::RecvHandle h = ctx.recv(1, 5);
+    seen.push_back(h.arrival_us());
+    seen.push_back(byte_sum(h.take_payload()));
+    ctx.clock().advance(25);
+    (void)ctx.isend(1, 11, bytes_of(0, 8), 512); // wakes a finished rank
+  });
+}
+
+// rank 1 dies (register_death marks it terminal) and then enters recovery
+// (marking it again): it counts once, survivors see the same count when the
+// failure detector fires, and the recovery rendezvous resets it to zero so
+// the next allreduce completes normally
+TEST(SchedulerEquivalence, TerminalCountCountsEachRankOnce) {
+  sim::FaultConfig faults;
+  faults.seed = 17;
+  faults.crash_rate = 1.0; // only rank 1 arms its draw below
+  faults.crash_window_us = 10.0;
+  const auto seen = expect_same_wake_case(
+      3,
+      [](sim::VirtualCluster& cluster, sim::RankContext& ctx, std::vector<double>& row) {
+        if (ctx.rank() == 1) {
+          ctx.faults().arm_deaths(ctx.clock().now_us);
+          ctx.clock().advance(20); // past the window: the draw is due
+        }
+        try {
+          row.push_back(ctx.allreduce_sum(1.0)); // unreachable: rank 1 dies first
+        } catch (const sim::RankDeath&) {
+          ctx.enter_recovery();
+        } catch (const sim::RankFailure& f) {
+          EXPECT_EQ(f.failed_rank, 1);
+        }
+        row.push_back(cluster.terminal_count());
+        const sim::RecoveryEpoch ep = ctx.recovery_rendezvous();
+        row.push_back(ep.resume_us);
+        row.push_back(cluster.terminal_count());
+        row.push_back(ctx.allreduce_sum(1.0));
+      },
+      faults);
+  for (const auto& row : seen) {
+    ASSERT_EQ(row.size(), 5u);
+    EXPECT_EQ(row[0], 1.0) << "a dead rank that also enters recovery counts once";
+    EXPECT_EQ(row[2], 0.0) << "the recovery rendezvous resets the count";
+    EXPECT_EQ(row[3], 3.0) << "the allreduce after the rendezvous completes";
+  }
 }
 
 // --- scheduler selection and capacity ----------------------------------------

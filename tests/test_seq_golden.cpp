@@ -20,6 +20,9 @@
 // that moves the 256-rank timeline fails here loudly.  The exported trace
 // (trace_seq256_golden.json) is left on disk for tools/quick_gate.sh to
 // lint against tools/trace_schema.json.
+//
+// SeqScale pins a 4096-rank point with observability off (labelled slow):
+// past the threads scheduler's capacity, where only seq can run.
 
 #include "exec/host_engine.h"
 #include "parallel/modeled_solver.h"
@@ -28,8 +31,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 
 namespace quda {
@@ -135,6 +141,90 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
   EXPECT_GT(r.metrics.xswitch_bytes, 0);
 
   exec::set_thread_budget(0); // back to the environment default
+}
+
+// Observability off for one scope, whatever the environment says: the
+// QUDA_SIM_TRACE / QUDA_SIM_TELEMETRY switches would otherwise record a
+// 4096-rank trace.
+class ScopedObservabilityOff {
+public:
+  ScopedObservabilityOff() {
+    for (std::size_t i = 0; i < kVars.size(); ++i) {
+      const char* v = std::getenv(kVars[i]);
+      saved_[i] = v != nullptr ? std::optional<std::string>(v) : std::nullopt;
+      ::unsetenv(kVars[i]);
+    }
+  }
+  ~ScopedObservabilityOff() {
+    for (std::size_t i = 0; i < kVars.size(); ++i)
+      if (saved_[i]) ::setenv(kVars[i], saved_[i]->c_str(), 1);
+  }
+  ScopedObservabilityOff(const ScopedObservabilityOff&) = delete;
+  ScopedObservabilityOff& operator=(const ScopedObservabilityOff&) = delete;
+
+private:
+  static constexpr std::array<const char*, 2> kVars{"QUDA_SIM_TRACE", "QUDA_SIM_TELEMETRY"};
+  std::array<std::optional<std::string>, 2> saved_;
+};
+
+// 4096-rank scale point: the fat-tree tables' 32^3x256 global lattice on a
+// 4x4x4x64 grid (8^3x4 per rank), single/half overlap, 10 iterations, with
+// observability off.  The threads scheduler is capped at 512 ranks, so it
+// cannot be the oracle here.  Instead the makespan and Gflops are pinned
+// to what the seq loop produced when it still scanned every fiber per
+// resume and every send woke every parked rank, and a second run must
+// agree bitwise.
+sim::ClusterSpec fat_tree_4096_spec() {
+  sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(4096);
+  spec.scheduler = sim::SchedulerKind::Seq;
+  return spec;
+}
+
+parallel::ModeledSolverConfig fat_tree_4096_config() {
+  parallel::ModeledSolverConfig cfg;
+  cfg.local = LatticeDims{8, 8, 8, 4}; // 32^3 x 256 over 4x4x4x64
+  cfg.topology = comm::GridTopology{{4, 4, 4, 64}};
+  cfg.outer = Precision::Single;
+  cfg.sloppy = Precision::Half;
+  cfg.policy = CommPolicy::Overlap;
+  cfg.iterations = 10;
+  return cfg;
+}
+
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kThreadSanitizer = true;
+#elif defined(__has_feature)
+constexpr bool kThreadSanitizer = __has_feature(thread_sanitizer);
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
+
+TEST(SeqScale, Pinned4096RankModeledSolve) {
+  // TSan's mmap interceptor initialises shadow memory for each whole fiber
+  // stack; 4096 fibers map 4 GiB of stack, and a TSan build of this test
+  // was OOM-killed at 16 GB resident on a 16 GB host
+  if (kThreadSanitizer) GTEST_SKIP() << "4096 fiber stacks exceed TSan's shadow-memory budget";
+  exec::set_thread_budget(1);
+  ScopedObservabilityOff observability_off;
+  const parallel::ModeledSolverConfig cfg = fat_tree_4096_config();
+
+  sim::VirtualCluster first(fat_tree_4096_spec());
+  const parallel::ModeledSolverResult a = parallel::run_modeled_solver(first, cfg);
+  ASSERT_TRUE(a.fits);
+  EXPECT_FALSE(a.traced);
+  std::printf("SeqScale: makespan %.17g gflops %.17g\n", first.makespan_us(),
+              a.effective_gflops);
+  EXPECT_EQ(first.makespan_us(), 148419.7809341666);
+  EXPECT_EQ(a.effective_gflops, 2426.720150245736);
+
+  sim::VirtualCluster second(fat_tree_4096_spec());
+  const parallel::ModeledSolverResult b = parallel::run_modeled_solver(second, cfg);
+  EXPECT_EQ(second.makespan_us(), first.makespan_us());
+  EXPECT_EQ(b.time_us, a.time_us);
+  EXPECT_EQ(b.effective_gflops, a.effective_gflops);
+  EXPECT_EQ(b.iterations, a.iterations);
+
+  exec::set_thread_budget(0);
 }
 
 } // namespace

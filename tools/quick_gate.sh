@@ -8,7 +8,10 @@
 #      self-test; a failure prints the offending file:line rule table and
 #      a one-line per-rule summary ("<tool>: rule summary -- rule:count");
 #   3. the fast test subset (ctest -LE slow), which includes the trace
-#      acceptance test that exports a fig5-sized Chrome trace;
+#      acceptance test that exports a fig5-sized Chrome trace, run twice:
+#      under the default scheduler (Auto resolves to threads) and again
+#      under QUDA_SIM_SCHED=seq, so the seq event loop's ready heap and
+#      targeted wakeups run under every test, sanitized builds included;
 #   4. trace-lint every file that acceptance run produced against
 #      tools/trace_schema.json;
 #   5. crash-recovery smoke: a seeded mid-solve rank crash must be detected,
@@ -61,6 +64,7 @@ python3 tools/semantic_check.py
 python3 tools/semantic_check.py --self-test
 
 ctest --test-dir "$BUILD" -LE slow --output-on-failure -j"$(nproc)"
+QUDA_SIM_SCHED=seq ctest --test-dir "$BUILD" -LE slow --output-on-failure -j"$(nproc)"
 
 shopt -s nullglob
 traces=("$BUILD"/tests/trace_fig5_acceptance.json*)
