@@ -27,6 +27,8 @@
 #include "sim/scheduler.h"
 #include "trace/trace.h"
 
+#include "scoped_env.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,12 +47,13 @@ namespace {
 using parallel::ModeledSolverConfig;
 using parallel::ModeledSolverResult;
 
-// the suite drives the scheduler and capacity knobs itself; scrub any
-// ambient values so every run starts from the documented defaults
+// the suite drives the trace and capacity knobs itself; scrub any ambient
+// values so every run starts from the documented defaults.  QUDA_SIM_SCHED
+// is left alone: it selects the scheduler for the rest of this binary, and
+// every scenario here names its scheduler explicitly.
 const bool g_env_cleared = [] {
   ::unsetenv("QUDA_SIM_TRACE");
   ::unsetenv("QUDA_SIM_TELEMETRY");
-  ::unsetenv("QUDA_SIM_SCHED");
   ::unsetenv("QUDA_SIM_MAX_RANK_THREADS");
   return true;
 }();
@@ -512,21 +515,20 @@ TEST(SchedulerCapacity, ThreadsOverCapacityRaisesTypedError) {
 }
 
 TEST(SchedulerResolve, ExplicitSpecBeatsEnvironment) {
-  ::setenv("QUDA_SIM_SCHED", "seq", 1);
+  ScopedEnv sched("QUDA_SIM_SCHED", "seq");
   EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Threads),
             sim::SchedulerKind::Threads);
   EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Seq), sim::SchedulerKind::Seq);
   EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Auto), sim::SchedulerKind::Seq);
-  ::setenv("QUDA_SIM_SCHED", "threads", 1);
+  sched.set("threads");
   EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Auto), sim::SchedulerKind::Threads);
-  ::unsetenv("QUDA_SIM_SCHED");
+  sched.set(nullptr);
   EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Auto), sim::SchedulerKind::Threads);
 }
 
 TEST(SchedulerResolve, UnknownEnvValueIsLoud) {
-  ::setenv("QUDA_SIM_SCHED", "fibers", 1);
+  ScopedEnv sched("QUDA_SIM_SCHED", "fibers");
   EXPECT_THROW(sim::resolve_scheduler(sim::SchedulerKind::Auto), std::invalid_argument);
-  ::unsetenv("QUDA_SIM_SCHED");
 }
 
 TEST(SchedulerResolve, SchedulerNames) {
@@ -540,9 +542,11 @@ TEST(SchedulerResolve, EnvSelectedSeqMatchesThreads) {
   exec::set_thread_budget(2);
   const ModeledSolverConfig cfg = modeled_config(CommPolicy::Overlap);
   const ModeledObs threads = run_modeled(sim::SchedulerKind::Threads, 4, cfg);
-  ::setenv("QUDA_SIM_SCHED", "seq", 1);
-  const ModeledObs env_seq = run_modeled(sim::SchedulerKind::Auto, 4, cfg);
-  ::unsetenv("QUDA_SIM_SCHED");
+  ModeledObs env_seq;
+  {
+    ScopedEnv sched("QUDA_SIM_SCHED", "seq");
+    env_seq = run_modeled(sim::SchedulerKind::Auto, 4, cfg);
+  }
   expect_same_modeled(threads, env_seq, "env-selected seq");
   exec::set_thread_budget(0);
 }

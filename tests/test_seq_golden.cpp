@@ -29,13 +29,12 @@
 #include "sim/event_sim.h"
 #include "trace/trace.h"
 
+#include "scoped_env.h"
+
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string>
 
 namespace quda {
@@ -143,30 +142,6 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
   exec::set_thread_budget(0); // back to the environment default
 }
 
-// Observability off for one scope, whatever the environment says: the
-// QUDA_SIM_TRACE / QUDA_SIM_TELEMETRY switches would otherwise record a
-// 4096-rank trace.
-class ScopedObservabilityOff {
-public:
-  ScopedObservabilityOff() {
-    for (std::size_t i = 0; i < kVars.size(); ++i) {
-      const char* v = std::getenv(kVars[i]);
-      saved_[i] = v != nullptr ? std::optional<std::string>(v) : std::nullopt;
-      ::unsetenv(kVars[i]);
-    }
-  }
-  ~ScopedObservabilityOff() {
-    for (std::size_t i = 0; i < kVars.size(); ++i)
-      if (saved_[i]) ::setenv(kVars[i], saved_[i]->c_str(), 1);
-  }
-  ScopedObservabilityOff(const ScopedObservabilityOff&) = delete;
-  ScopedObservabilityOff& operator=(const ScopedObservabilityOff&) = delete;
-
-private:
-  static constexpr std::array<const char*, 2> kVars{"QUDA_SIM_TRACE", "QUDA_SIM_TELEMETRY"};
-  std::array<std::optional<std::string>, 2> saved_;
-};
-
 // 4096-rank scale point: the fat-tree tables' 32^3x256 global lattice on a
 // 4x4x4x64 grid (8^3x4 per rank), single/half overlap, 10 iterations, with
 // observability off.  The threads scheduler is capped at 512 ranks, so it
@@ -205,7 +180,10 @@ TEST(SeqScale, Pinned4096RankModeledSolve) {
   // was OOM-killed at 16 GB resident on a 16 GB host
   if (kThreadSanitizer) GTEST_SKIP() << "4096 fiber stacks exceed TSan's shadow-memory budget";
   exec::set_thread_budget(1);
-  ScopedObservabilityOff observability_off;
+  // observability off whatever the environment says: the trace switch
+  // would otherwise record a 4096-rank trace
+  ScopedEnv trace_off("QUDA_SIM_TRACE", nullptr);
+  ScopedEnv telemetry_off("QUDA_SIM_TELEMETRY", nullptr);
   const parallel::ModeledSolverConfig cfg = fat_tree_4096_config();
 
   sim::VirtualCluster first(fat_tree_4096_spec());

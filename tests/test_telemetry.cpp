@@ -34,11 +34,12 @@ using telemetry::AnomalyKind;
 using telemetry::RankRecorder;
 using telemetry::TelemetryReport;
 
-// the suite drives the telemetry/scheduler knobs itself; scrub ambient state
+// the suite drives the telemetry knobs itself; scrub ambient state.
+// QUDA_SIM_SCHED is left alone: it selects the scheduler for the whole
+// binary, and the sweeps here name their schedulers explicitly.
 const bool g_env_cleared = [] {
   ::unsetenv("QUDA_SIM_TRACE");
   ::unsetenv("QUDA_SIM_TELEMETRY");
-  ::unsetenv("QUDA_SIM_SCHED");
   ::unsetenv("QUDA_SIM_MAX_RANK_THREADS");
   return true;
 }();
