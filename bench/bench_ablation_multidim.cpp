@@ -19,9 +19,6 @@ namespace {
 
 parallel::ModeledSolverResult run_topo(const comm::GridTopology& topo, LatticeDims global) {
   sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(topo.num_ranks());
-  // the event-loop scheduler keeps rank count a parameter: the 256-1024
-  // rank cases are fibers on one thread, not hundreds of OS threads
-  spec.scheduler = sim::SchedulerKind::Seq;
   sim::VirtualCluster cluster(spec);
   parallel::ModeledSolverConfig cfg;
   cfg.local = global;

@@ -40,8 +40,7 @@ void run_multidim_table(BenchJson& json, const char* title, LatticeDims local,
   std::printf("\n%s\n", title);
   std::printf("%-8s %-14s %14s %16s\n", "GPUs", "grid", "Gflops", "GF per GPU");
   for (const auto& topo : grids) {
-    sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(topo.num_ranks());
-    spec.scheduler = sim::SchedulerKind::Seq;
+    const sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(topo.num_ranks());
     const auto r = run_weak_grid_point(spec, topo, local, series, /*iterations=*/10);
     record_grid_point(json, title, series, topo, r);
     if (!r.fits) {

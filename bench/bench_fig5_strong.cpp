@@ -45,8 +45,7 @@ void run_multidim_table(BenchJson& json, const char* title, LatticeDims global,
   std::printf("%-8s %-14s %14s %16s %18s\n", "GPUs", "grid", "Gflops", "GF per GPU",
               "exposed comm us");
   for (const auto& topo : grids) {
-    sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(topo.num_ranks());
-    spec.scheduler = sim::SchedulerKind::Seq;
+    const sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(topo.num_ranks());
     const auto r = run_grid_point(spec, topo, global, series, iterations);
     record_grid_point(json, title, series, topo, r);
     if (!r.fits) {

@@ -46,9 +46,9 @@ public:
     std::ofstream os("BENCH_" + name_ + ".json");
     // one provenance line (commit, build type, scheduler, thread budget) so
     // any perf delta can be traced back to what produced the numbers
-    const sim::SchedulerKind kind = sim::resolve_scheduler(sim::SchedulerKind::Threads);
     os << "{\n  \"name\": " << quote(name_) << ",\n  \"provenance\": "
-       << core::provenance_json(sim::scheduler_name(kind)) << ",\n  \"config\": {";
+       << core::provenance_json(sim::scheduler_name(sim::SchedulerKind::Seq))
+       << ",\n  \"config\": {";
     write_fields(os, config_, "\n    ");
     os << "\n  },\n  \"points\": [";
     for (std::size_t p = 0; p < points_.size(); ++p) {
@@ -148,9 +148,7 @@ inline parallel::ModeledSolverResult run_weak_point(int ranks, LatticeDims local
 }
 
 // Run one modeled-solver data point decomposed over a full 4-D process grid
-// on an explicit cluster spec.  The big sweeps (256-1024 ranks) pair a
-// fat_tree spec with SchedulerKind::Seq so rank count stays a parameter
-// instead of an OS thread budget.
+// on an explicit cluster spec (the big 256-1024-rank sweeps use fat_tree).
 inline parallel::ModeledSolverResult run_grid_point(sim::ClusterSpec spec,
                                                     const comm::GridTopology& topo,
                                                     LatticeDims global,

@@ -4,10 +4,10 @@
 // telemetry JSONL (QUDA_SIM_TELEMETRY), and every BENCH_<name>.json.
 //
 // The stamp records what produced the file -- git describe, build type,
-// the resolved rank scheduler, the host thread budget, and a cluster-spec
-// summary -- as one JSON object, emitted on exactly one line of each
-// export so differential tests (which compare exports bitwise across
-// schedulers and thread budgets) can strip it with a line filter.
+// the rank scheduler, the host thread budget, and a cluster-spec summary --
+// as one JSON object, emitted on exactly one line of each export so
+// determinism tests (which compare exports bitwise across thread budgets)
+// can strip it with a line filter.
 //
 // QUDA_SIM_GIT_DESCRIBE / QUDA_SIM_BUILD_TYPE are baked in at configure
 // time by the top-level CMakeLists; the fallbacks keep ad-hoc compiles
@@ -41,8 +41,8 @@ inline std::string cluster_summary_json(const sim::ClusterSpec& spec) {
          ", \"nodes_per_switch\": " + std::to_string(spec.interconnect.nodes_per_switch) + "}";
 }
 
-// The provenance object itself.  scheduler should be the *resolved* name
-// ("threads" | "seq"); cluster_summary is cluster_summary_json(spec), or
+// The provenance object itself.  scheduler is sim::scheduler_name() of the
+// scheduler that ran; cluster_summary is cluster_summary_json(spec), or
 // empty when no single cluster describes the export (bench suites).
 inline std::string provenance_json(const std::string& scheduler,
                                    const std::string& cluster_summary = "") {
@@ -62,10 +62,9 @@ inline std::string provenance_json(const std::string& scheduler,
   return out;
 }
 
-// provenance for a run under `spec` (resolves the scheduler the run used)
+// provenance for a run under `spec`
 inline std::string provenance_json(const sim::ClusterSpec& spec) {
-  return provenance_json(sim::scheduler_name(sim::resolve_scheduler(spec.scheduler)),
-                         cluster_summary_json(spec));
+  return provenance_json(sim::scheduler_name(spec.scheduler), cluster_summary_json(spec));
 }
 
 } // namespace quda::core

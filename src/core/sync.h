@@ -11,14 +11,12 @@
 // libstdc++ ships std::mutex / std::lock_guard without attributes -- a
 // GUARDED_BY(std_mutex_member) would either be ignored or flag every
 // correctly-locked access.  The wrapper set is the minimal surface the
-// simulator needs: Mutex, a scoped MutexLock that supports the early
-// unlock() the DES error paths use, and a CondVar that waits through the
-// annotated guard (condition_variable_any accepts any BasicLockable, which
-// MutexLock satisfies).
+// simulator needs: Mutex, a scoped MutexLock, and a CondVar that waits
+// through the annotated guard (condition_variable_any accepts any
+// BasicLockable, which MutexLock satisfies).
 
 #include "core/annotations.h"
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -39,9 +37,7 @@ private:
 };
 
 // RAII guard over Mutex.  Also satisfies BasicLockable (lock/unlock) so
-// CondVar can release and reacquire it around a wait, and supports the
-// explicit early unlock() that RankContext::wait uses before raising a
-// CommTimeout (the destructor then skips the release).
+// CondVar can release and reacquire it around a wait.
 class QUDA_SCOPED_CAPABILITY MutexLock {
 public:
   explicit MutexLock(Mutex& m) QUDA_ACQUIRE(m) : mu_(m), owns_(true) { mu_.lock(); }
@@ -75,16 +71,8 @@ public:
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
-  void wait(MutexLock& lock) { cv_.wait(lock); }
-
   template <typename Pred> void wait(MutexLock& lock, Pred pred) {
     cv_.wait(lock, pred);
-  }
-
-  template <typename Clock, typename Duration>
-  std::cv_status wait_until(MutexLock& lock,
-                            const std::chrono::time_point<Clock, Duration>& deadline) {
-    return cv_.wait_until(lock, deadline);
   }
 
 private:

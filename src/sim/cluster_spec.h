@@ -15,13 +15,10 @@
 
 namespace quda::sim {
 
-// How VirtualCluster::run executes the simulated ranks (DESIGN.md §12):
-//   Threads -- one OS thread per rank (the historical scheduler);
-//   Seq     -- one cooperative event loop resuming stackful fibers in
-//              deterministic (clock, rank) order, so rank count is a
-//              parameter instead of a thread budget;
-//   Auto    -- consult QUDA_SIM_SCHED (threads|seq), default Threads.
-enum class SchedulerKind { Auto, Threads, Seq };
+// How VirtualCluster::run executes the simulated ranks: the seq fiber
+// event loop (DESIGN.md §12), the only scheduler.
+// A one-value enum, kept so code that names SchedulerKind::Seq compiles.
+enum class SchedulerKind { Seq };
 
 // classification of the wire a delivered message crossed
 enum class LinkClass {
@@ -111,8 +108,8 @@ struct ClusterSpec {
   // solver flight recorder (src/trace/telemetry.h); recording also turns
   // on when QUDA_SIM_TELEMETRY is set (its value = JSONL export path)
   telemetry::TelemetryOptions telemetry{};
-  // how the DES executes the ranks (Auto = QUDA_SIM_SCHED, default threads)
-  SchedulerKind scheduler = SchedulerKind::Auto;
+  // how the DES executes the ranks (the seq fiber loop, the only choice)
+  SchedulerKind scheduler = SchedulerKind::Seq;
   // leaf-switch grouping of the nodes (default: flat single switch)
   InterconnectModel interconnect{};
 
@@ -171,8 +168,8 @@ struct ClusterSpec {
 
   // A 9g-style cluster scaled past one switch: dual-GPU nodes grouped under
   // 2:1-oversubscribed leaf switches, the shape of the "Scaling Lattice QCD
-  // beyond 100 GPUs" installations.  Big sims (256-1024 ranks) pair this
-  // with SchedulerKind::Seq so rank count stays a parameter.
+  // beyond 100 GPUs" installations (256-4096 ranks; the seq scheduler
+  // keeps rank count a parameter).
   static ClusterSpec fat_tree(int ranks, int gpus_per_node = 2, int nodes_per_switch = 8,
                               int uplinks_per_switch = 4) {
     if (ranks < 1) throw std::invalid_argument("need at least one rank");

@@ -46,19 +46,15 @@ void RankContext::check_death() {
 }
 
 void RankContext::enter_recovery() {
-  {
-    core::MutexLock lock(cluster_.mutex_);
-    cluster_.mark_terminal(rank_);
-  }
+  cluster_.mark_terminal(rank_);
   // cascade: peers blocked on this rank re-check their terminal conditions
-  cluster_.sched_->wake_all();
+  cluster_.sched_.wake_all();
 }
 
 RecoveryEpoch RankContext::recovery_rendezvous() {
   check_death();
   const int n = spec_.num_ranks();
   RecoveryEpoch out;
-  core::MutexLock lock(cluster_.mutex_);
   auto& rec = cluster_.recovery_;
   const std::int64_t my_generation = rec.generation;
   rec.max_arrival = std::max(rec.max_arrival, clock_.now_us);
@@ -98,10 +94,10 @@ RecoveryEpoch RankContext::recovery_rendezvous() {
     rec.arrived = 0;
     rec.max_arrival = 0;
     ++rec.generation;
-    cluster_.sched_->wake_all();
+    cluster_.sched_.wake_all();
   } else {
     while (!(cluster_.aborted_ || rec.generation != my_generation))
-      (void)cluster_.sched_->wait_transport(lock, 0);
+      (void)cluster_.sched_.wait_transport(false);
     if (rec.generation == my_generation) {
       if (cluster_.abort_kind_ == VirtualCluster::AbortKind::Timeout)
         throw CommTimeout("peer rank raised CommTimeout during recovery");
@@ -167,12 +163,9 @@ RankContext::SendStatus RankContext::isend(int dst, int tag, std::vector<std::by
     tracer_.instant(trace::Cat::Fault, "corrupt", trace::kTrackHost, m.send_time_us,
                     modeled_bytes, dst, tag);
   }
-  {
-    core::MutexLock lock(cluster_.mutex_);
-    cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
-  }
+  cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
   // only dst's predicate reads this channel
-  cluster_.sched_->wake(dst);
+  cluster_.sched_.wake(dst);
   clock_.advance(spec_.net.mpi_overhead_us);
   return status;
 }
@@ -181,11 +174,8 @@ void RankContext::post_send_failure(int dst, int tag) {
   Message m;
   m.failed = true;
   m.send_time_us = clock_.now_us;
-  {
-    core::MutexLock lock(cluster_.mutex_);
-    cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
-  }
-  cluster_.sched_->wake(dst);
+  cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
+  cluster_.sched_.wake(dst);
 }
 
 void RankContext::raise_timeout(const std::string& what) {
@@ -201,7 +191,7 @@ RankContext::PendingRecv RankContext::irecv(int src, int tag) {
   return p;
 }
 
-RecvHandle RankContext::wait(PendingRecv& pending, double wall_timeout_ms) {
+RecvHandle RankContext::wait(PendingRecv& pending, bool timeout_on_deadlock) {
   check_death();
   if (pending.consumed)
     throw std::logic_error("RankContext::wait() called twice on the same PendingRecv");
@@ -209,55 +199,47 @@ RecvHandle RankContext::wait(PendingRecv& pending, double wall_timeout_ms) {
   const double wait_begin_us = clock_.now_us;
 
   RecvHandle h;
-  {
-    core::MutexLock lock(cluster_.mutex_);
-    auto& chan = cluster_.channels_[{pending.src, rank_, pending.tag}];
-    for (;;) {
-      // skip dropped-attempt tombstones silently: the lost attempt's timing
-      // effect reaches us through the retransmission's later send time
-      while (!chan.queue.empty() && chan.queue.front().dropped && !chan.queue.front().failed)
-        chan.queue.pop_front();
-      if (!chan.queue.empty()) break;
-      // Failure detector: an empty channel from a terminal (dead or
-      // recovering) source can never fill -- its sends happen-before its
-      // terminal marking in program order -- so the outcome is deterministic
-      // even though the *wall* moment we notice is not.  The clock stays
-      // untouched; detection latency is charged once, at the rendezvous.
-      if (pending.src < static_cast<int>(cluster_.terminal_.size()) &&
-          cluster_.terminal_[static_cast<std::size_t>(pending.src)]) {
-        DeathKind kind = DeathKind::Crash;
-        for (const DeathRecord& d : cluster_.deaths_)
-          if (d.rank == pending.src) kind = d.kind;
-        throw RankFailure("rank " + std::to_string(pending.src) +
-                              " went silent while rank " + std::to_string(rank_) +
-                              " was waiting on it",
-                          pending.src, kind);
-      }
-      if (cluster_.aborted_) {
-        if (cluster_.abort_kind_ == VirtualCluster::AbortKind::Timeout)
-          throw CommTimeout("peer rank raised CommTimeout during recv");
-        throw std::runtime_error("peer rank aborted during recv");
-      }
-      // park on the scheduler: under threads this is the condvar (with the
-      // wall-clock watchdog when armed); under seq the fiber yields to the
-      // event loop, and "timed out" is its deterministic equivalent --
-      // every rank parked with no wakeup pending
-      if (cluster_.sched_->wait_transport(lock, wall_timeout_ms) && chan.queue.empty() &&
-          !cluster_.aborted_ && cluster_.deaths_.empty()) {
-        lock.unlock();
-        raise_timeout("wall-clock timeout waiting for message from rank " +
-                      std::to_string(pending.src));
-      }
-    }
-    if (chan.queue.front().failed) {
+  auto& chan = cluster_.channels_[{pending.src, rank_, pending.tag}];
+  for (;;) {
+    // skip dropped-attempt tombstones silently: the lost attempt's timing
+    // effect reaches us through the retransmission's later send time
+    while (!chan.queue.empty() && chan.queue.front().dropped && !chan.queue.front().failed)
       chan.queue.pop_front();
-      lock.unlock();
-      raise_timeout("sender rank " + std::to_string(pending.src) +
-                    " exhausted its retry budget");
+    if (!chan.queue.empty()) break;
+    // Failure detector: an empty channel from a terminal (dead or
+    // recovering) source can never fill -- its sends happen-before its
+    // terminal marking in program order -- so the outcome is deterministic.
+    // The clock stays untouched; detection latency is charged once, at the
+    // rendezvous.
+    if (pending.src < static_cast<int>(cluster_.terminal_.size()) &&
+        cluster_.terminal_[static_cast<std::size_t>(pending.src)]) {
+      DeathKind kind = DeathKind::Crash;
+      for (const DeathRecord& d : cluster_.deaths_)
+        if (d.rank == pending.src) kind = d.kind;
+      throw RankFailure("rank " + std::to_string(pending.src) +
+                            " went silent while rank " + std::to_string(rank_) +
+                            " was waiting on it",
+                        pending.src, kind);
     }
-    h.msg_ = std::move(chan.queue.front());
-    chan.queue.pop_front();
+    if (cluster_.aborted_) {
+      if (cluster_.abort_kind_ == VirtualCluster::AbortKind::Timeout)
+        throw CommTimeout("peer rank raised CommTimeout during recv");
+      throw std::runtime_error("peer rank aborted during recv");
+    }
+    // park the fiber; with the deadlock guard armed, being unparked because
+    // every rank is parked (no wakeup can ever come) is a CommTimeout
+    if (cluster_.sched_.wait_transport(timeout_on_deadlock) && chan.queue.empty() &&
+        !cluster_.aborted_ && cluster_.deaths_.empty())
+      raise_timeout("deadlock guard: no message from rank " + std::to_string(pending.src) +
+                    " can ever arrive");
   }
+  if (chan.queue.front().failed) {
+    chan.queue.pop_front();
+    raise_timeout("sender rank " + std::to_string(pending.src) +
+                  " exhausted its retry budget");
+  }
+  h.msg_ = std::move(chan.queue.front());
+  chan.queue.pop_front();
   // interconnect-aware wire time: same-node shm, one-hop IB, or the
   // cross-switch fat-tree path (flat specs reproduce the historical
   // NetworkModel::transfer_time_us bit-for-bit)
@@ -299,8 +281,8 @@ void RankContext::allreduce_sum(double* values, int count) {
 
   // raised when a terminal rank can never arrive at this generation; which
   // terminal rank we name is informational only (never fed into timing or
-  // traces), so scanning the racy death set here is harmless
-  auto raise_rank_failure = [&]() QUDA_REQUIRES(cluster_.mutex_) -> void {
+  // traces)
+  auto raise_rank_failure = [&]() -> void {
     int failed = -1;
     for (std::size_t r = 0; r < cluster_.terminal_.size() && failed < 0; ++r)
       if (cluster_.terminal_[r] &&
@@ -315,7 +297,6 @@ void RankContext::allreduce_sum(double* values, int count) {
                       failed, kind);
   };
 
-  core::MutexLock lock(cluster_.mutex_);
   auto& red = cluster_.red_;
   const std::int64_t my_generation = red.generation;
   if (red.arrived_mask.size() != static_cast<std::size_t>(n))
@@ -331,7 +312,7 @@ void RankContext::allreduce_sum(double* values, int count) {
   red.contrib[static_cast<std::size_t>(rank_)].assign(values, values + count);
   red.arrived_mask[static_cast<std::size_t>(rank_)] = 1;
   // track the gating rank (argmax arrival, ties to the lowest rank so the
-  // record is deterministic under any OS interleaving of equal clocks)
+  // record does not depend on the arrival order of equal clocks)
   if (red.arrived == 0 || clock_.now_us > red.max_time ||
       (clock_.now_us == red.max_time && rank_ < red.max_rank)) {
     red.max_time = clock_.now_us;
@@ -354,11 +335,11 @@ void RankContext::allreduce_sum(double* values, int count) {
     red.arrived = 0;
     std::fill(red.arrived_mask.begin(), red.arrived_mask.end(), std::uint8_t{0});
     ++red.generation;
-    cluster_.sched_->wake_all();
+    cluster_.sched_.wake_all();
   } else {
     while (!(cluster_.aborted_ || red.generation != my_generation ||
              cluster_.reduction_blocked_by_failure()))
-      (void)cluster_.sched_->wait_transport(lock, 0);
+      (void)cluster_.sched_.wait_transport(false);
     if (red.generation == my_generation) {
       // a generation that can never complete aborts with *no* collective
       // span recorded on any participant, keeping the per-rank collective
@@ -384,12 +365,9 @@ void RankContext::barrier() {
 }
 
 void VirtualCluster::register_death(int rank, DeathKind kind, double time_us) {
-  {
-    core::MutexLock lock(mutex_);
-    deaths_.push_back(DeathRecord{rank, kind, time_us});
-    mark_terminal(rank);
-  }
-  sched_->wake_all();
+  deaths_.push_back(DeathRecord{rank, kind, time_us});
+  mark_terminal(rank);
+  sched_.wake_all();
 }
 
 void VirtualCluster::mark_terminal(int rank) {
@@ -397,11 +375,6 @@ void VirtualCluster::mark_terminal(int rank) {
   auto& flag = terminal_[static_cast<std::size_t>(rank)];
   if (flag == 0) ++terminal_count_;
   flag = 1;
-}
-
-int VirtualCluster::terminal_count() {
-  core::MutexLock lock(mutex_);
-  return terminal_count_;
 }
 
 bool VirtualCluster::reduction_blocked_by_failure() const {
@@ -414,38 +387,28 @@ bool VirtualCluster::reduction_blocked_by_failure() const {
 }
 
 void VirtualCluster::poison(AbortKind kind) {
-  {
-    core::MutexLock lock(mutex_);
-    if (!aborted_) {
-      aborted_ = true;
-      abort_kind_ = kind;
-    }
+  if (!aborted_) {
+    aborted_ = true;
+    abort_kind_ = kind;
   }
-  sched_->wake_all();
+  sched_.wake_all();
 }
 
 void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
   const int n = spec_.num_ranks();
-  const SchedulerKind kind = resolve_scheduler(spec_.scheduler);
-  if (kind == SchedulerKind::Threads && n > threads_scheduler_capacity())
-    throw SchedulerCapacityError(n, threads_scheduler_capacity());
-  {
-    core::MutexLock lock(mutex_);
-    aborted_ = false;
-    abort_kind_ = AbortKind::None;
-    channels_.clear();
-    deaths_.clear();
-    terminal_.assign(static_cast<std::size_t>(n), 0);
-    terminal_count_ = 0;
-    red_.arrived = 0;
-    red_.width = -1;
-    for (auto& slot : red_.contrib) slot.clear();
-    red_.max_time = 0;
-    red_.max_rank = -1;
-    red_.arrived_mask.assign(static_cast<std::size_t>(n), 0);
-    recovery_ = RecoverySync{};
-  }
-  sched_ = make_scheduler(kind, mutex_, cv_);
+  aborted_ = false;
+  abort_kind_ = AbortKind::None;
+  channels_.clear();
+  deaths_.clear();
+  terminal_.assign(static_cast<std::size_t>(n), 0);
+  terminal_count_ = 0;
+  red_.arrived = 0;
+  red_.width = -1;
+  for (auto& slot : red_.contrib) slot.clear();
+  red_.max_time = 0;
+  red_.max_rank = -1;
+  red_.arrived_mask.assign(static_cast<std::size_t>(n), 0);
+  recovery_ = RecoverySync{};
   // tracing turns on via the spec or the QUDA_SIM_TRACE environment variable
   // (whose value doubles as the Chrome JSON export path)
   const char* env_trace = std::getenv("QUDA_SIM_TRACE");
@@ -473,42 +436,31 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
   for (auto& c : contexts) rank_ptrs.push_back(c.get());
 
   std::exception_ptr first_error;
-  core::Mutex error_mutex;
 
-  // The body every scheduler drives, once per rank: run fn and convert any
+  // The body the scheduler drives, once per rank: run fn and convert any
   // escape into cluster poison + first-error capture.  Bodies never throw
-  // past the scheduler (the fiber/thread boundary).  The scheduler binds
-  // each rank's tracer as the thread-local trace::current() while that
-  // rank executes (per resume under seq).
+  // past the fiber boundary.  The scheduler binds each rank's tracer as the
+  // thread-local trace::current() on every resume of that rank.
   const auto body = [&](RankContext& ctx) {
     try {
       fn(ctx);
     } catch (const CommTimeout&) {
-      {
-        core::MutexLock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
+      if (!first_error) first_error = std::current_exception();
       poison(AbortKind::Timeout);
     } catch (const RankDeath& d) {
       // a death that escapes fn means no recovery handler was installed;
       // surface it as a regular error rather than an opaque foreign type
-      {
-        core::MutexLock lock(error_mutex);
-        if (!first_error)
-          first_error = std::make_exception_ptr(std::runtime_error(
-              "rank " + std::to_string(d.rank) + " died (" + death_kind_name(d.kind) +
-              ") with no recovery handler installed"));
-      }
+      if (!first_error)
+        first_error = std::make_exception_ptr(std::runtime_error(
+            "rank " + std::to_string(d.rank) + " died (" + death_kind_name(d.kind) +
+            ") with no recovery handler installed"));
       poison(AbortKind::Error);
     } catch (...) {
-      {
-        core::MutexLock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
+      if (!first_error) first_error = std::current_exception();
       poison(AbortKind::Error);
     }
   };
-  sched_->run(rank_ptrs, trace_on, body);
+  sched_.run(rank_ptrs, trace_on, body);
 
   // fault/recovery accounting survives even a failed run -- tests assert on
   // counters after catching CommTimeout
@@ -524,8 +476,7 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
 
   // the trace likewise survives a failed run (partial timelines are exactly
   // what one wants when diagnosing a CommTimeout)
-  const std::string provenance =
-      core::provenance_json(scheduler_name(kind), core::cluster_summary_json(spec_));
+  const std::string provenance = core::provenance_json(spec_);
   trace_report_ = trace::TraceReport{};
   trace_report_.enabled = trace_on;
   trace_report_.gpus_per_node = spec_.gpus_per_node;
@@ -557,7 +508,6 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
                              provenance);
   }
 
-  sched_.reset();
   if (first_error) std::rethrow_exception(first_error);
   channels_.clear();
 }

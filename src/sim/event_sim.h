@@ -2,21 +2,25 @@
 // Conservative discrete-event simulation of an SPMD message-passing program.
 //
 // Each simulated rank executes *real* program logic (including real
-// numerics when desired) under a pluggable RankScheduler (sim/scheduler.h):
-// one OS thread per rank (`threads`, the default) or one cooperative event
-// loop resuming stackful fibers (`seq`, which scales to O(1000) ranks).
+// numerics when desired) as a stackful fiber of one cooperative event loop
+// (SeqScheduler, sim/scheduler.h), which scales to thousands of ranks.
 // Each rank owns a SimClock; local work advances it by modeled durations.
 // Ranks interact only through the message channels and collective
 // operations below, whose completion times are pure functions of the
 // participants' clocks and the network model -- so simulated timings are
-// deterministic regardless of OS scheduling, and bit-identical across the
-// two schedulers (tests/test_scheduler_equivalence.cpp).
+// deterministic, bit-identical across runs and host thread budgets
+// (tests/test_scheduler_equivalence.cpp).
+//
+// Threading: every rank body and all transport state below run on the one
+// event-loop thread, so the transport needs no lock.  Exec pool chunks
+// (exec/host_engine.h) never call into the transport; TSan builds model
+// the fiber switches and flag any chunk that does.
 //
 // Semantics mirror the MPI subset that QMP exposes and the paper uses:
 // point-to-point non-blocking send/receive with handles, and all-reduce.
 //
 // Wakeups are targeted: a send changes only its receiver's predicate, so
-// isend/post_send_failure wake just dst (RankScheduler::wake); allreduce
+// isend/post_send_failure wake just dst (SeqScheduler::wake); allreduce
 // completion, recovery, poison and death change state every blocked rank
 // may read, and wake all of them.  Transport bookkeeping per event is O(1)
 // in the rank count: channels are a hashed point lookup, and a counter of
@@ -32,7 +36,6 @@
 // retry budget posts a *failed* tombstone and poisons the cluster so every
 // blocked rank raises a typed CommTimeout instead of deadlocking.
 
-#include "core/sync.h"
 #include "gpusim/device.h"
 #include "sim/cluster_spec.h"
 #include "sim/fault_model.h"
@@ -43,7 +46,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -161,12 +163,13 @@ public:
   };
   PendingRecv irecv(int src, int tag);
 
-  // Blocks (in wall time) until the message arrives.  Dropped-attempt
+  // Parks this rank until the message arrives.  Dropped-attempt
   // tombstones are skipped silently; a failed tombstone (sender gave up)
-  // raises CommTimeout.  wall_timeout_ms > 0 bounds the wall-clock wait as
-  // a last-ditch deadlock guard (also CommTimeout).  Waiting twice on the
+  // raises CommTimeout.  timeout_on_deadlock arms the deadlock guard: if
+  // every rank ends up parked, this wait raises CommTimeout instead of
+  // the scheduler's "simulated deadlock" error.  Waiting twice on the
   // same PendingRecv is a hard error.
-  RecvHandle wait(PendingRecv& pending, double wall_timeout_ms = 0);
+  RecvHandle wait(PendingRecv& pending, bool timeout_on_deadlock = false);
 
   // blocking receive: irecv + wait
   RecvHandle recv(int src, int tag);
@@ -219,10 +222,8 @@ public:
 
   const ClusterSpec& spec() const { return spec_; }
 
-  // Run fn on every rank under the spec's scheduler (threads: one OS thread
-  // each; seq: one cooperative event loop); rethrows the first exception.
-  // Raises SchedulerCapacityError when the resolved scheduler is `threads`
-  // and the rank count exceeds threads_scheduler_capacity().
+  // Run fn on every rank, each a fiber of the seq event loop; rethrows the
+  // first exception.
   void run(const std::function<void(RankContext&)>& fn);
 
   // maximum simulated completion time over all ranks of the last run()
@@ -249,7 +250,7 @@ public:
   // ranks currently terminal (dead or recovering) in the running failure
   // epoch: each rank counts once however many times it is marked, and the
   // recovery rendezvous resets the count to 0
-  int terminal_count();
+  int terminal_count() const { return terminal_count_; }
 
 private:
   friend class RankContext;
@@ -279,33 +280,32 @@ private:
   // record a process death for the current failure epoch and wake everyone
   void register_death(int rank, DeathKind kind, double time_us);
   // set rank's terminal flag, counting it in terminal_count_ on first marking
-  void mark_terminal(int rank) QUDA_REQUIRES(mutex_);
+  void mark_terminal(int rank);
   // true when some terminal (dead or recovering) rank has not arrived at
   // the in-flight reduction generation, i.e. it can never complete
-  bool reduction_blocked_by_failure() const QUDA_REQUIRES(mutex_);
+  bool reduction_blocked_by_failure() const;
 
   ClusterSpec spec_;
   FaultModel fault_model_;
-  // one cluster-wide transport lock: channels, the allreduce rendezvous, and
-  // the poison flag all rendezvous through it (clang checks the GUARDED_BY
-  // fields under QUDA_SIM_ANALYZE; static_check.py checks coverage always)
-  core::Mutex mutex_;
-  core::CondVar cv_ QUDA_CV_WAITS_WITH(mutex_);
+  // transport state: channels, the allreduce and recovery rendezvous, and
+  // the poison flag, touched only from the event-loop thread (see the
+  // threading note at the top of this file)
+  //
   // hashed, never iterated (the sim-unordered-iter lint keeps it that way):
   // every access is a point lookup by (src, dst, tag)
-  std::unordered_map<ChannelKey, Channel, ChannelKeyHash> channels_ QUDA_GUARDED_BY(mutex_);
-  bool aborted_ QUDA_GUARDED_BY(mutex_) = false; // a rank threw; peers must not block forever
-  AbortKind abort_kind_ QUDA_GUARDED_BY(mutex_) = AbortKind::None;
+  std::unordered_map<ChannelKey, Channel, ChannelKeyHash> channels_;
+  bool aborted_ = false; // a rank threw; peers must not block forever
+  AbortKind abort_kind_ = AbortKind::None;
 
   // allreduce state (generation-counted).  The gating rank -- the argmax of
   // the arrival times, ties broken toward the lowest rank so the value is
-  // deterministic under any OS interleaving -- is latched per generation so
+  // deterministic whatever the arrival order -- is latched per generation so
   // every participant can record the rendezvous edge for the critical-path
   // walk (trace/critpath.h).
   // Per-rank contribution slots, folded into the result in ascending rank
   // order by the completing arrival -- the sum is a pure function of the
-  // contributions, never of OS arrival order, which is what makes Real-mode
-  // results bit-identical across schedulers and thread budgets.
+  // contributions, never of arrival order, which is what makes Real-mode
+  // results bit-identical across thread budgets.
   struct Reduction {
     int arrived = 0;
     int width = -1; // element count of the in-flight generation (-1: none)
@@ -322,13 +322,13 @@ private:
     // reduction still completes) from "can never complete" (survivors must
     // raise RankFailure)
     std::vector<std::uint8_t> arrived_mask;
-  } red_ QUDA_GUARDED_BY(mutex_);
+  } red_;
 
   // process-failure state of the current epoch: registered deaths, and the
   // terminal flags (dead or recovering) that unblock waiting peers
-  std::vector<DeathRecord> deaths_ QUDA_GUARDED_BY(mutex_);
-  std::vector<std::uint8_t> terminal_ QUDA_GUARDED_BY(mutex_);
-  int terminal_count_ QUDA_GUARDED_BY(mutex_) = 0; // set flags in terminal_
+  std::vector<DeathRecord> deaths_;
+  std::vector<std::uint8_t> terminal_;
+  int terminal_count_ = 0; // set flags in terminal_
 
   // generation-counted recovery rendezvous (all n ranks, incl. respawned)
   struct RecoverySync {
@@ -336,14 +336,10 @@ private:
     double max_arrival = 0;
     std::int64_t generation = 0;
     RecoveryEpoch last; // published by the completing arrival
-  } recovery_ QUDA_GUARDED_BY(mutex_);
+  } recovery_;
 
-  // Execution engine of the current run() (threads or seq, resolved from
-  // ClusterSpec::scheduler / QUDA_SIM_SCHED).  Created at run() entry and
-  // torn down at exit; stable for the whole run, so ranks dereference it
-  // without holding mutex_ (only wait_transport's internals touch shared
-  // scheduler state, under their own discipline).
-  std::unique_ptr<RankScheduler> sched_;
+  // the event loop every run() executes the ranks on
+  SeqScheduler sched_;
 
   double makespan_us_ = 0;
   FaultCounters fault_totals_;

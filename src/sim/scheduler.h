@@ -1,116 +1,113 @@
 #pragma once
-// Pluggable rank schedulers for the discrete-event cluster simulator
-// (DESIGN.md §12).  VirtualCluster::run hands every rank body to one of
-// these; the RankContext SPMD API is identical under both:
+// The rank scheduler of the discrete-event cluster simulator (DESIGN.md
+// §12).  VirtualCluster::run hands every rank body to SeqScheduler: one
+// cooperative event loop on the calling thread, running each rank as a
+// stackful fiber (ucontext) with a lazily committed guard-paged stack.
 //
-//   ThreadsScheduler -- one OS thread per simulated rank, parked on the
-//     cluster-wide condition variable (the historical execution mode).
-//     Capacity-limited: thread stacks and kernel scheduling make O(1000)
-//     ranks impractical, so exceeding threads_scheduler_capacity() raises
-//     a typed SchedulerCapacityError naming the escape hatch.
+// The loop always resumes the ready fiber with the smallest (simulated
+// clock, rank) pair, popped from a min-heap keyed at wake time (a parked or
+// ready fiber's clock cannot move until it runs again), so execution order
+// is a pure function of the simulation state -- there is no OS interleaving
+// left to be nondeterministic about -- and a resume costs O(log N).  Rank
+// count is a parameter: 4096 ranks are 4096 fibers on one OS thread.
 //
-//   SeqScheduler -- one cooperative event loop on the calling thread,
-//     running each rank as a stackful fiber (ucontext) with a lazily
-//     committed guard-paged stack.  The loop always resumes the ready
-//     fiber with the smallest (simulated clock, rank) pair, popped from a
-//     min-heap keyed at wake time (a parked or ready fiber's clock cannot
-//     move until it runs again), so execution order is a pure function of
-//     the simulation state -- there is no OS interleaving left to be
-//     nondeterministic about -- and a resume costs O(log N), not O(N).
-//     Rank count becomes a parameter: 1024 ranks are 1024 fibers, not 1024
-//     threads.
+// Targeted wake(rank) does not disturb that order: a rank woken without
+// cause re-checks its predicate and re-parks without touching simulated
+// state, so waking only the rank whose predicate changed drops nothing but
+// no-op resumes.
 //
-// Because message/collective completion times are pure functions of the
-// participants' clocks (conservative DES), the two schedulers produce
-// bit-identical simulated timelines; tests/test_scheduler_equivalence.cpp
-// pins that equivalence differentially.  Targeted wake(rank) does not
-// disturb it: a rank woken without cause re-checks its predicate and
-// re-parks without touching simulated state, so waking only the rank whose
-// predicate changed drops nothing but no-op resumes.
+// Deadlock is detected, not timed: when every live fiber is parked no
+// wakeup can ever come, so the loop unparks the lowest-ranked fiber whose
+// wait armed the deadlock guard (its wait_transport returns true and the
+// caller raises CommTimeout), or, with no guard armed anywhere, the
+// lowest-ranked parked fiber, whose wait_transport throws.  No wall-clock
+// time is read anywhere in the simulator.
 
-#include "core/sync.h"
 #include "sim/cluster_spec.h"
 
+#include <ucontext.h>
+
+#include <cstddef>
 #include <functional>
 #include <memory>
-#include <stdexcept>
-#include <string>
+#include <queue>
+#include <utility>
 #include <vector>
 
 namespace quda::sim {
 
 class RankContext;
 
-// Raised by VirtualCluster::run when the requested rank count exceeds what
-// the threads scheduler can service, instead of dying inside std::thread
-// construction.  The message names the escape hatch.
-class SchedulerCapacityError : public std::runtime_error {
-public:
-  SchedulerCapacityError(int requested, int capacity)
-      : std::runtime_error(
-            "simulated cluster of " + std::to_string(requested) +
-            " ranks exceeds the threads scheduler's capacity of " + std::to_string(capacity) +
-            " OS threads; use the cooperative event-loop scheduler instead "
-            "(QUDA_SIM_SCHED=seq, or ClusterSpec::scheduler = SchedulerKind::Seq)"),
-        requested_(requested), capacity_(capacity) {}
-
-  int requested() const { return requested_; }
-  int capacity() const { return capacity_; }
-
-private:
-  int requested_;
-  int capacity_;
-};
-
-// canonical name of a resolved scheduler kind ("threads" | "seq")
+// canonical name of a scheduler kind ("seq")
 const char* scheduler_name(SchedulerKind kind);
-
-// Resolve Auto: the QUDA_SIM_SCHED environment variable (threads|seq; any
-// other value is an std::invalid_argument), defaulting to Threads.  An
-// explicit ClusterSpec::scheduler setting wins over the environment.
-SchedulerKind resolve_scheduler(SchedulerKind requested);
-
-// rank count the threads scheduler accepts before raising a typed
-// SchedulerCapacityError (QUDA_SIM_MAX_RANK_THREADS overrides; >= 1)
-int threads_scheduler_capacity();
 
 // Execution engine behind VirtualCluster::run, with four duties.  run()
 // drives every rank body to completion; bodies must not throw
-// (VirtualCluster wraps them).  wait_transport/wake/wake_all implement the
-// condition-variable protocol the transport blocks on: the cluster mutex is
-// held on entry and on return of wait_transport, and released while parked.
-class RankScheduler {
+// (VirtualCluster wraps them).  wait_transport/wake/wake_all are the
+// park/notify protocol the transport blocks on.
+class SeqScheduler {
 public:
-  virtual ~RankScheduler() = default;
-
   // run body(*ranks[r]) once per rank, where ranks[r] is rank r; returns
-  // when every rank finished.
-  // trace_on binds each rank's tracer as the thread-local trace::current()
-  // for the duration of that rank's execution (per resume under seq).
-  virtual void run(const std::vector<RankContext*>& ranks, bool trace_on,
-                   const std::function<void(RankContext&)>& body) = 0;
+  // when every rank finished.  trace_on binds each rank's tracer as the
+  // thread-local trace::current() for the duration of each resume.
+  void run(const std::vector<RankContext*>& ranks, bool trace_on,
+           const std::function<void(RankContext&)>& body);
 
   // Park the calling rank until wake() or wake_all().  Returns true when
-  // the caller armed a watchdog (wall_timeout_ms > 0) and it fired with no
-  // wakeup: under threads that is a real wall-clock cv timeout; under seq it
-  // is the deterministic equivalent -- every rank is parked, so no wakeup
-  // can ever come.  A seq-mode deadlock with no watchdog armed anywhere throws
-  // std::runtime_error from the lowest-ranked parked fiber.
-  virtual bool wait_transport(core::MutexLock& lock, double wall_timeout_ms) = 0;
+  // the caller armed the deadlock guard and was unparked because every rank
+  // is parked, i.e. no wakeup can ever come.  A deadlock with no guard
+  // armed anywhere throws std::runtime_error from the lowest-ranked parked
+  // fiber.
+  bool wait_transport(bool deadlock_guard);
 
   // wake one rank so it re-checks its predicate: the caller changed state
-  // that only that rank's predicate reads (a message landed on its channel).
-  // A rank that is running, ready or finished is left alone.  Under
-  // threads this is notify_all on the shared condvar.
-  virtual void wake(int rank) = 0;
+  // that only that rank's predicate reads (a message landed on its
+  // channel).  A rank that is running, ready or finished is left alone.
+  void wake(int rank);
 
   // wake every parked rank so it re-checks its predicate
-  virtual void wake_all() = 0;
-};
+  void wake_all();
 
-// construct the scheduler for a resolved (non-Auto) kind; the mutex/condvar
-// pair is the cluster's transport lock that wait_transport operates on
-std::unique_ptr<RankScheduler> make_scheduler(SchedulerKind kind, core::Mutex& mutex,
-                                              core::CondVar& cv);
+private:
+  struct Fiber {
+    enum class State { Ready, Running, Parked, Done };
+    enum class Wake { Notified, TimedOut, Deadlock };
+
+    RankContext* ctx = nullptr;
+    ucontext_t uc{};
+    void* map = nullptr; // guard page + stack, unmapped on teardown
+    std::size_t map_bytes = 0;
+    void* stack = nullptr;       // lowest usable stack address (above the guard)
+    void* fake_stack = nullptr;  // ASan's saved fake stack while switched out
+    void* tsan_fiber = nullptr;  // TSan's context for this fiber
+    State state = State::Ready;
+    Wake wake = Wake::Notified;
+    bool guarded = false; // the parked wait armed the deadlock guard
+  };
+
+  // ready-heap entry: the fiber's clock when it became ready, then its
+  // rank.  Neither a parked nor a ready fiber's clock can move until that
+  // fiber runs again, so the key equals the (clock, rank) pair a full scan
+  // at dispatch time would find.
+  using ReadyKey = std::pair<double, int>;
+
+  static void trampoline(unsigned hi, unsigned lo);
+  void resume(Fiber& f, bool trace_on);
+  void make_ready(int rank, Fiber::Wake why);
+  void unpark_deterministically();
+
+  std::vector<std::unique_ptr<Fiber>> fibers_; // indexed by rank
+  std::priority_queue<ReadyKey, std::vector<ReadyKey>, std::greater<>> ready_;
+  int live_ = 0; // fibers not yet Done
+  const std::function<void(RankContext&)>* body_ = nullptr;
+  ucontext_t loop_uc_{};
+  Fiber* current_ = nullptr;
+  // the event loop's stack as ASan reports it when a fiber first starts,
+  // and the loop thread's TSan context
+  void* loop_fake_stack_ = nullptr;
+  const void* loop_stack_bottom_ = nullptr;
+  std::size_t loop_stack_size_ = 0;
+  void* loop_tsan_fiber_ = nullptr;
+};
 
 } // namespace quda::sim

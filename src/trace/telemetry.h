@@ -5,7 +5,7 @@
 // purely observational.  A recorder hook never reads-and-advances a
 // SimClock -- it only samples the bound clock pointer -- so a
 // telemetry-enabled run is bit-identical in solution, makespan and trace
-// digests to a disabled one, at any QUDA_SIM_THREADS / QUDA_SIM_SCHED
+// digests to a disabled one, at any QUDA_SIM_THREADS budget
 // (tests/test_telemetry.cpp pins this).
 //
 // Four pieces:
@@ -34,7 +34,7 @@
 // buckets whose width is a pure function of the configuration (explicit
 // bucket_us for series; makespan/buckets for timelines) -- never of
 // wall-clock or arrival order -- so exports are bit-stable across
-// schedulers and thread budgets.
+// thread budgets.
 
 #include "trace/trace.h"
 
@@ -257,8 +257,8 @@ private:
 };
 
 // thread-local recorder of the simulated rank running on this OS thread;
-// null off a rank thread.  The returned recorder may be disabled -- hooks
-// on a disabled recorder are no-ops -- so schedulers bind unconditionally.
+// null outside a rank.  The returned recorder may be disabled -- hooks on
+// a disabled recorder are no-ops -- so the scheduler binds unconditionally.
 RankRecorder* current();
 
 // RAII binding of current() for the lifetime of a rank thread's workload

@@ -80,8 +80,8 @@ std::string chrome_trace_json(const TraceReport& report) {
     for (const Event& e : report.per_rank[rank]) append_event(out, pid, e, first);
   }
   out += "\n],\n";
-  // provenance rides on exactly one line so differential tests (bitwise
-  // trace comparison across schedulers/budgets) can strip it by line
+  // provenance rides on exactly one line so determinism tests (bitwise
+  // trace comparison across thread budgets) can strip it by line
   if (!report.provenance_json.empty())
     out += "\"provenance\": " + report.provenance_json + ",\n";
   out += "\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"tool\": \"mgpu-quda sim tracer\", "

@@ -2,7 +2,7 @@
 // Sets or unsets one environment variable for a scope and restores its
 // ambient value on exit.  Tests that drive a QUDA_SIM_* knob through the
 // environment use it so the knob the suite was launched with (for example
-// QUDA_SIM_SCHED=seq) still holds for every other test in the binary.
+// QUDA_SIM_TRACE=<path>) still holds for every other test in the binary.
 
 #include <cstdlib>
 #include <optional>

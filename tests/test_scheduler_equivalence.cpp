@@ -1,33 +1,29 @@
-// Scheduler equivalence suite (DESIGN.md §12): the cooperative event-loop
-// scheduler (QUDA_SIM_SCHED=seq, rank-per-fiber) must be observationally
-// indistinguishable from the historical thread-per-rank scheduler.  Because
-// the DES is conservative -- message and collective completion times are
-// pure functions of the participants' simulated clocks -- both schedulers
-// walk the same timeline, and every observable must match *bitwise*:
-// solution vectors, makespans, FaultReport/RecoveryReport (checkpoint
-// digests included), per-rank FNV-1a trace digests, and exported trace
-// files with timestamps.  The sweep runs each scenario under both
-// schedulers at QUDA_SIM_THREADS budgets {1, 2, 8}: the budget throttles
-// host-side parallel_for work and must not perturb the timeline either.
+// Scheduler determinism suite (DESIGN.md §12).  The seq fiber event loop is
+// the only rank scheduler, and a run must be a pure function of its
+// configuration.  Every scenario below runs at QUDA_SIM_THREADS budgets
+// {1, 2, 8}, twice per budget, and every run must match pinned goldens
+// bitwise.  The goldens were captured from the retired thread-per-rank
+// scheduler on these same scenarios, so the equivalence the two schedulers
+// once showed differentially stays pinned now that only one remains.  The
+// thread budget throttles host-side parallel_for work and must not perturb
+// the timeline either.
+//
+// Observables: solver iterations, makespan and Gflops (exact), per-rank
+// FNV-1a trace sequence digests, and for the Real-mode solves the true
+// residual plus FNV-1a digests of the solution vector, of the solver and
+// fault/recovery report (checkpoint digest included), and of the exported
+// Chrome trace text (timestamps included, provenance line stripped).
 //
 // The targeted-wakeup edge cases (a send landing on a rank parked in an
 // allreduce, wake() on a running or finished rank, a rank marked terminal
-// twice) compare the two schedulers on hand-written rank bodies.
-//
-// Also pinned here: the typed SchedulerCapacityError raised when the
-// threads scheduler is asked for more ranks than it can service, and the
-// QUDA_SIM_SCHED resolution rules (explicit spec beats environment,
-// unknown values are a loud std::invalid_argument).
+// twice) pin everything each rank observed, plus its final clock.
 
 #include "core/quda_api.h"
 #include "dirac/gauge_init.h"
 #include "exec/host_engine.h"
 #include "parallel/modeled_solver.h"
 #include "sim/event_sim.h"
-#include "sim/scheduler.h"
 #include "trace/trace.h"
-
-#include "scoped_env.h"
 
 #include <gtest/gtest.h>
 
@@ -37,8 +33,8 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace quda {
@@ -47,16 +43,48 @@ namespace {
 using parallel::ModeledSolverConfig;
 using parallel::ModeledSolverResult;
 
-// the suite drives the trace and capacity knobs itself; scrub any ambient
-// values so every run starts from the documented defaults.  QUDA_SIM_SCHED
-// is left alone: it selects the scheduler for the rest of this binary, and
-// every scenario here names its scheduler explicitly.
+// the suite drives the trace knobs itself; scrub any ambient values so
+// every run starts from the documented defaults
 const bool g_env_cleared = [] {
   ::unsetenv("QUDA_SIM_TRACE");
   ::unsetenv("QUDA_SIM_TELEMETRY");
-  ::unsetenv("QUDA_SIM_MAX_RANK_THREADS");
   return true;
 }();
+
+// FNV-1a over the object representation: doubles hash by bit pattern, so
+// a digest match is a bitwise match
+class Fnv1a {
+public:
+  template <typename T> Fnv1a& add(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      h_ ^= p[i];
+      h_ *= 1099511628211ull;
+    }
+    return *this;
+  }
+  Fnv1a& add(const std::string& s) {
+    for (const char c : s) add(c);
+    return *this;
+  }
+  std::uint64_t value() const { return h_; }
+
+private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+// run `observe` at every thread budget, twice per budget, handing each
+// observation and its label to `check`
+template <typename Observe, typename Check>
+void sweep_budgets(const Observe& observe, const Check& check) {
+  for (const int budget : {1, 2, 8}) {
+    exec::set_thread_budget(budget);
+    for (int repeat = 0; repeat < 2; ++repeat)
+      check(observe(), "budget " + std::to_string(budget) + " run " + std::to_string(repeat));
+  }
+  exec::set_thread_budget(0); // back to the environment default
+}
 
 // --- modeled-solver scenarios ------------------------------------------------
 
@@ -71,89 +99,91 @@ ModeledSolverConfig modeled_config(CommPolicy policy) {
   return cfg;
 }
 
-// everything observable about one modeled run, digested for comparison
-struct ModeledObs {
-  ModeledSolverResult result;
-  double makespan = 0;
-  std::vector<std::uint64_t> digests; // per-rank trace sequence digests
-};
-
-ModeledObs run_modeled(sim::SchedulerKind kind, int ranks, const ModeledSolverConfig& cfg,
-                       const sim::FaultConfig& faults = {}) {
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
-  spec.scheduler = kind;
-  spec.trace.enabled = true;
-  spec.faults = faults;
-  sim::VirtualCluster cluster(spec);
-  ModeledObs o;
-  o.result = parallel::run_modeled_solver(cluster, cfg);
-  o.makespan = cluster.makespan_us();
-  for (const auto& events : cluster.trace().per_rank)
-    o.digests.push_back(trace::sequence_digest(events));
-  return o;
-}
-
-void expect_same_modeled(const ModeledObs& a, const ModeledObs& b, const std::string& label) {
-  EXPECT_EQ(a.result.fits, b.result.fits) << label;
-  EXPECT_EQ(a.result.iterations, b.result.iterations) << label;
-  // EXPECT_EQ on doubles is exact comparison on purpose: the schedulers
-  // must agree bitwise, not to a tolerance
-  EXPECT_EQ(a.result.time_us, b.result.time_us) << label;
-  EXPECT_EQ(a.result.effective_gflops, b.result.effective_gflops) << label;
-  EXPECT_EQ(a.makespan, b.makespan) << label;
-  ASSERT_EQ(a.digests.size(), b.digests.size()) << label;
-  for (std::size_t r = 0; r < a.digests.size(); ++r)
-    EXPECT_EQ(a.digests[r], b.digests[r]) << label << " rank " << r << " trace digest";
-}
-
-// run one scenario under every (scheduler, thread budget) combination and
-// require each run to match the threads/budget-1 baseline bitwise
-void sweep_modeled(int ranks, const ModeledSolverConfig& cfg,
-                   const sim::FaultConfig& faults = {}) {
-  exec::set_thread_budget(1);
-  const ModeledObs base = run_modeled(sim::SchedulerKind::Threads, ranks, cfg, faults);
-  ASSERT_TRUE(base.result.fits);
-  ASSERT_EQ(base.digests.size(), static_cast<std::size_t>(ranks));
-
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::Threads, sim::SchedulerKind::Seq}) {
-    for (const int budget : {1, 2, 8}) {
-      exec::set_thread_budget(budget);
-      const ModeledObs other = run_modeled(kind, ranks, cfg, faults);
-      expect_same_modeled(base, other,
-                          std::string(sim::scheduler_name(kind)) + " budget " +
-                              std::to_string(budget));
-    }
-  }
-  exec::set_thread_budget(0); // back to the environment default
-}
-
-TEST(SchedulerEquivalence, ModeledSolveOverlap) {
-  sweep_modeled(4, modeled_config(CommPolicy::Overlap));
-}
-
-TEST(SchedulerEquivalence, ModeledSolveNoOverlap) {
-  sweep_modeled(4, modeled_config(CommPolicy::NoOverlap));
-}
-
-// a 1x2x2x2 grid exercises the multi-dimensional halo exchange paths (six
-// neighbors per rank instead of two) under both schedulers
-TEST(SchedulerEquivalence, ModeledSolveMultiDimGrid) {
+ModeledSolverConfig multidim_config() {
   ModeledSolverConfig cfg = modeled_config(CommPolicy::Overlap);
   cfg.topology = comm::GridTopology{{1, 2, 2, 2}};
-  sweep_modeled(8, cfg);
+  return cfg;
 }
 
-// message faults (drops, degraded links, transient stalls) perturb the
-// timeline through the retry machinery; the injected schedule is a pure
-// function of the seed, so both schedulers must replay it exactly
-TEST(SchedulerEquivalence, ModeledSolveWithMessageFaults) {
+sim::FaultConfig message_faults() {
   sim::FaultConfig faults;
   faults.seed = 20260808;
   faults.drop_rate = 0.02;
   faults.delay_rate = 0.05;
   faults.stall_rate = 0.01;
-  sweep_modeled(4, modeled_config(CommPolicy::Overlap), faults);
+  return faults;
+}
+
+// everything observable about one modeled run
+struct ModeledObs {
+  bool fits = false;
+  int iterations = 0;
+  double time_us = 0;
+  double gflops = 0;
+  double makespan = 0;
+  std::vector<std::uint64_t> digests; // per-rank trace sequence digests
+};
+
+ModeledObs run_modeled(int ranks, const ModeledSolverConfig& cfg,
+                       const sim::FaultConfig& faults = {}) {
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
+  spec.trace.enabled = true;
+  spec.faults = faults;
+  sim::VirtualCluster cluster(spec);
+  const ModeledSolverResult r = parallel::run_modeled_solver(cluster, cfg);
+  ModeledObs o{r.fits, r.iterations, r.time_us, r.effective_gflops, cluster.makespan_us(), {}};
+  for (const auto& events : cluster.trace().per_rank)
+    o.digests.push_back(trace::sequence_digest(events));
+  return o;
+}
+
+void sweep_modeled(int ranks, const ModeledSolverConfig& cfg, const sim::FaultConfig& faults,
+                   const ModeledObs& golden) {
+  sweep_budgets([&] { return run_modeled(ranks, cfg, faults); },
+                [&](const ModeledObs& o, const std::string& label) {
+                  EXPECT_TRUE(o.fits) << label;
+                  EXPECT_EQ(o.iterations, golden.iterations) << label;
+                  // EXPECT_EQ on doubles is exact comparison on purpose:
+                  // runs must agree bitwise, not to a tolerance
+                  EXPECT_EQ(o.time_us, golden.time_us) << label;
+                  EXPECT_EQ(o.gflops, golden.gflops) << label;
+                  EXPECT_EQ(o.makespan, golden.makespan) << label;
+                  EXPECT_EQ(o.digests, golden.digests) << label << " per-rank trace digests";
+                });
+}
+
+TEST(SchedulerEquivalence, ModeledSolveOverlap) {
+  sweep_modeled(4, modeled_config(CommPolicy::Overlap), {},
+                {true, 25, 95291.303721284916, 37.303221817564491, 95291.303721284916,
+                 {16387289460897189555ull, 4591811276020006425ull, 1897515651312551611ull,
+                  16257106862551732533ull}});
+}
+
+TEST(SchedulerEquivalence, ModeledSolveNoOverlap) {
+  sweep_modeled(4, modeled_config(CommPolicy::NoOverlap), {},
+                {true, 25, 30691.19589167694, 115.82059729917471, 30691.19589167694,
+                 {5203937352096528067ull, 459689634302695941ull, 5816646806524039247ull,
+                  5131246084706148725ull}});
+}
+
+// a 1x2x2x2 grid exercises the multi-dimensional halo exchange paths (six
+// neighbors per rank instead of two)
+TEST(SchedulerEquivalence, ModeledSolveMultiDimGrid) {
+  sweep_modeled(8, multidim_config(), {},
+                {true, 25, 282397.41725887341, 25.174965653042324, 282397.41725887341,
+                 {2908500701066277879ull, 11971554090620295081ull, 1468856570875909691ull,
+                  13595963620901131153ull, 8057335294842349991ull, 7306473367901037793ull,
+                  6800373183598288083ull, 12074719003807703737ull}});
+}
+
+// message faults (drops, degraded links, transient stalls) perturb the
+// timeline through the retry machinery; the injected schedule is a pure
+// function of the seed, so every run must replay it exactly
+TEST(SchedulerEquivalence, ModeledSolveWithMessageFaults) {
+  sweep_modeled(4, modeled_config(CommPolicy::Overlap), message_faults(),
+                {true, 25, 97999.318706947946, 36.272421960704719, 97999.318706947946,
+                 {13428717635546872825ull, 5110824455852257599ull, 8273731774373102256ull,
+                  8029795207203650195ull}});
 }
 
 // --- real-mode solves (invert_multi_gpu) -------------------------------------
@@ -178,15 +208,53 @@ struct RealFixture {
   }
 };
 
+// CG on the normal equations with a seeded message-fault environment
+RealFixture cg_fixture() {
+  RealFixture f;
+  // uniform-precision CG: the mixed-precision path is BiCGstab-only
+  f.params.solver = SolverType::CG;
+  f.params.sloppy.reset();
+  f.params.retry.checksums = true;
+  return f;
+}
+
+sim::ClusterSpec cg_fault_spec() {
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(4);
+  spec.faults.seed = 31337;
+  spec.faults.drop_rate = 0.02;
+  spec.faults.delay_rate = 0.05;
+  spec.faults.corrupt_rate = 0.01;
+  return spec;
+}
+
+// seeded rank crashes in the first half of the clean solve's timeline
+sim::ClusterSpec crash_spec(const RealFixture& f) {
+  HostSpinorField x_clean(f.g);
+  const InvertResult clean = invert_multi_gpu(sim::ClusterSpec::jlab_9g(4), f.u, f.b,
+                                              x_clean, f.params);
+  EXPECT_TRUE(clean.stats.converged) << clean.stats.summary();
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(4);
+  spec.faults.seed = 4242;
+  spec.faults.crash_rate = 0.35;
+  spec.faults.crash_window_us = 0.5 * clean.simulated_time_us;
+  return spec;
+}
+
+// everything observable about one Real-mode solve
 struct RealObs {
-  InvertResult r;
-  HostSpinorField x;
-  std::string trace_json; // exported Chrome trace, timestamps included
+  bool converged = false;
+  int iterations = 0;
+  double true_residual = 0;
+  double time_us = 0;
+  double gflops = 0;
+  std::uint64_t report_digest = 0;   // solver stats + FaultReport/RecoveryReport
+  std::uint64_t solution_digest = 0; // every component of x
+  std::uint64_t trace_digest = 0;    // exported trace text minus provenance
 };
 
-// Exports carry a one-line provenance stamp naming the scheduler and thread
-// budget -- exactly what these tests vary -- so strip those lines before the
-// bitwise comparison.  Everything else must match to the last bit.
+// Exports carry a one-line provenance stamp naming the thread budget --
+// exactly what these tests vary -- so strip that line before digesting.
+// Everything else must match to the last bit.
 std::string strip_provenance(const std::string& text) {
   std::string out;
   std::size_t pos = 0;
@@ -218,146 +286,94 @@ std::string slurp_export(const std::string& base) {
   return "";
 }
 
-RealObs run_real(const RealFixture& f, sim::ClusterSpec spec, sim::SchedulerKind kind,
-                 int budget, int run_index) {
-  exec::set_thread_budget(budget);
-  spec.scheduler = kind;
+std::uint64_t report_digest(const InvertResult& r) {
+  const SolverStats& s = r.stats;
+  const FaultReport& f = r.faults;
+  const RecoveryReport& rec = f.recovery;
+  Fnv1a h;
+  h.add(s.iterations).add(s.reliable_updates).add(s.restarts).add(s.true_residual);
+  h.add(s.converged);
+  h.add(f.drops).add(f.delays).add(f.corruptions).add(f.device_flips).add(f.stalls);
+  h.add(f.checksum_errors).add(f.sdc_detected).add(f.retries).add(f.recovered);
+  h.add(f.rollbacks).add(f.breakdown_restarts).add(f.escalated).add(f.recovery_time_us);
+  h.add(rec.failures).add(rec.crashes).add(rec.hangs).add(rec.respawns);
+  h.add(rec.checkpoints).add(rec.restores).add(rec.detection_us).add(rec.checkpoint_us);
+  h.add(rec.restore_us).add(rec.checkpoint_digest);
+  return h.value();
+}
+
+std::uint64_t solution_digest(const HostSpinorField& x) {
+  Fnv1a h;
+  for (std::int64_t i = 0; i < x.geom().volume(); ++i)
+    for (std::size_t spin = 0; spin < 4; ++spin)
+      for (std::size_t c = 0; c < 3; ++c) h.add(x[i].at(spin, c).re).add(x[i].at(spin, c).im);
+  return h.value();
+}
+
+RealObs run_real(const RealFixture& f, sim::ClusterSpec spec, const std::string& trace_path) {
   spec.trace.enabled = true;
-  const std::string trace_path =
-      "sched_equiv_" + std::to_string(run_index) + ".trace.json";
   spec.trace.path = trace_path;
-  RealObs o{InvertResult{}, HostSpinorField(f.g), ""};
-  o.r = invert_multi_gpu(spec, f.u, f.b, o.x, f.params);
-  o.trace_json = slurp_export(trace_path);
-  return o;
+  HostSpinorField x(f.g);
+  const InvertResult r = invert_multi_gpu(spec, f.u, f.b, x, f.params);
+  const std::string trace_text = slurp_export(trace_path);
+  EXPECT_FALSE(trace_text.empty()) << trace_path;
+  return RealObs{r.stats.converged,   r.stats.iterations, r.stats.true_residual,
+                 r.simulated_time_us, r.effective_gflops, report_digest(r),
+                 solution_digest(x),  Fnv1a().add(trace_text).value()};
 }
 
-void expect_same_real(const RealObs& a, const RealObs& b, const Geometry& g,
-                      const std::string& label) {
-  EXPECT_EQ(a.r.stats.converged, b.r.stats.converged) << label;
-  EXPECT_EQ(a.r.stats.iterations, b.r.stats.iterations) << label;
-  EXPECT_EQ(a.r.stats.true_residual, b.r.stats.true_residual) << label;
-  EXPECT_EQ(a.r.simulated_time_us, b.r.simulated_time_us) << label;
-  EXPECT_EQ(a.r.effective_gflops, b.r.effective_gflops) << label;
-
-  const FaultReport& fa = a.r.faults;
-  const FaultReport& fb = b.r.faults;
-  EXPECT_EQ(fa.drops, fb.drops) << label;
-  EXPECT_EQ(fa.delays, fb.delays) << label;
-  EXPECT_EQ(fa.corruptions, fb.corruptions) << label;
-  EXPECT_EQ(fa.stalls, fb.stalls) << label;
-  EXPECT_EQ(fa.retries, fb.retries) << label;
-  EXPECT_EQ(fa.recovered, fb.recovered) << label;
-  EXPECT_EQ(fa.rollbacks, fb.rollbacks) << label;
-  EXPECT_EQ(fa.recovery_time_us, fb.recovery_time_us) << label;
-  EXPECT_EQ(fa.recovery.failures, fb.recovery.failures) << label;
-  EXPECT_EQ(fa.recovery.crashes, fb.recovery.crashes) << label;
-  EXPECT_EQ(fa.recovery.hangs, fb.recovery.hangs) << label;
-  EXPECT_EQ(fa.recovery.respawns, fb.recovery.respawns) << label;
-  EXPECT_EQ(fa.recovery.checkpoints, fb.recovery.checkpoints) << label;
-  EXPECT_EQ(fa.recovery.restores, fb.recovery.restores) << label;
-  EXPECT_EQ(fa.recovery.detection_us, fb.recovery.detection_us) << label;
-  EXPECT_EQ(fa.recovery.checkpoint_us, fb.recovery.checkpoint_us) << label;
-  EXPECT_EQ(fa.recovery.restore_us, fb.recovery.restore_us) << label;
-  EXPECT_EQ(fa.recovery.checkpoint_digest, fb.recovery.checkpoint_digest) << label;
-
-  EXPECT_EQ(a.trace_json, b.trace_json)
-      << label << ": exported trace (timestamps included) must be bit-identical";
-  for (std::int64_t i = 0; i < g.volume(); ++i)
-    ASSERT_EQ(norm2(a.x[i] - b.x[i]), 0.0) << label << " site " << i;
-}
-
-// CG on the normal equations with a seeded message-fault environment: the
-// full reliable-messaging story (retries, degraded links, rollbacks) must
-// replay identically under the fiber scheduler
-TEST(SchedulerEquivalence, RealCGWithMessageFaults) {
-  RealFixture f;
-  // uniform-precision CG: the mixed-precision path is BiCGstab-only
-  f.params.solver = SolverType::CG;
-  f.params.sloppy.reset();
-  f.params.retry.checksums = true;
-
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(4);
-  spec.faults.seed = 31337;
-  spec.faults.drop_rate = 0.02;
-  spec.faults.delay_rate = 0.05;
-  spec.faults.corrupt_rate = 0.01;
-
+void sweep_real(const RealFixture& f, const sim::ClusterSpec& spec, const std::string& name,
+                const RealObs& golden) {
   int run_index = 0;
-  const RealObs base = run_real(f, spec, sim::SchedulerKind::Threads, 1, run_index++);
-  ASSERT_TRUE(base.r.stats.converged) << base.r.stats.summary();
-  ASSERT_FALSE(base.r.faults.clean()) << "the fault injection must actually fire";
-  ASSERT_FALSE(base.trace_json.empty());
+  sweep_budgets(
+      [&] { return run_real(f, spec, name + "_" + std::to_string(run_index++) + ".trace.json"); },
+      [&](const RealObs& o, const std::string& label) {
+        EXPECT_TRUE(o.converged) << label;
+        EXPECT_EQ(o.iterations, golden.iterations) << label;
+        EXPECT_EQ(o.true_residual, golden.true_residual) << label;
+        EXPECT_EQ(o.time_us, golden.time_us) << label;
+        EXPECT_EQ(o.gflops, golden.gflops) << label;
+        EXPECT_EQ(o.report_digest, golden.report_digest) << label << " solver/fault report";
+        EXPECT_EQ(o.solution_digest, golden.solution_digest) << label << " solution vector";
+        EXPECT_EQ(o.trace_digest, golden.trace_digest)
+            << label << ": exported trace (timestamps included) must be bit-identical";
+      });
+}
 
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::Threads, sim::SchedulerKind::Seq}) {
-    for (const int budget : {1, 2, 8}) {
-      const RealObs other = run_real(f, spec, kind, budget, run_index++);
-      expect_same_real(base, other, f.g,
-                       std::string(sim::scheduler_name(kind)) + " budget " +
-                           std::to_string(budget));
-    }
-  }
-  exec::set_thread_budget(0);
+// the full reliable-messaging story (retries, checksums, degraded links,
+// rollbacks) must replay identically
+TEST(SchedulerEquivalence, RealCGWithMessageFaults) {
+  sweep_real(cg_fixture(), cg_fault_spec(), "sched_equiv_cg",
+             {true, 36, 3.6474461583079097e-07, 114830.75593877178, 0.67972535199209494,
+              3504111627316909541ull, 13386840871117981068ull, 15977016385785735705ull});
 }
 
 // rank crashes, heartbeat detection, and coordinated checkpoint/restart:
-// the hardest scenario for the seq scheduler's deterministic deadlock
-// protocol (survivors park on a dead peer, the watchdog must fire in
-// simulated order, and the recovery rendezvous must reconverge)
+// the hardest scenario for the deterministic deadlock protocol (survivors
+// park on a dead peer, and the recovery rendezvous must reconverge)
 TEST(SchedulerEquivalence, RealCrashRecoveryCheckpointRestart) {
-  RealFixture f;
-
+  const RealFixture f;
   exec::set_thread_budget(8);
-  HostSpinorField x_clean(f.g);
-  const InvertResult clean = invert_multi_gpu(sim::ClusterSpec::jlab_9g(4), f.u, f.b,
-                                              x_clean, f.params);
-  ASSERT_TRUE(clean.stats.converged) << clean.stats.summary();
-
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(4);
-  spec.faults.seed = 4242;
-  spec.faults.crash_rate = 0.35;
-  spec.faults.crash_window_us = 0.5 * clean.simulated_time_us;
-
-  int run_index = 100;
-  const RealObs base = run_real(f, spec, sim::SchedulerKind::Threads, 1, run_index++);
-  ASSERT_TRUE(base.r.stats.converged) << base.r.stats.summary();
-  ASSERT_GT(base.r.faults.recovery.crashes, 0) << "the crash injection must actually fire";
-  ASSERT_GT(base.r.faults.recovery.restores, 0);
-  ASSERT_NE(base.r.faults.recovery.checkpoint_digest, 0u);
-  ASSERT_FALSE(base.trace_json.empty());
-
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::Threads, sim::SchedulerKind::Seq}) {
-    for (const int budget : {1, 2, 8}) {
-      const RealObs other = run_real(f, spec, kind, budget, run_index++);
-      expect_same_real(base, other, f.g,
-                       std::string(sim::scheduler_name(kind)) + " budget " +
-                           std::to_string(budget));
-    }
-  }
-  exec::set_thread_budget(0);
+  const sim::ClusterSpec spec = crash_spec(f);
+  sweep_real(f, spec, "sched_equiv_crash",
+             {true, 15, 2.4746275938650555e-07, 106859.44514638213, 0.53304622648911903,
+              2399606613590173034ull, 7491704160572643007ull, 17944853957508116845ull});
 }
 
 // --- targeted-wakeup edge cases ---------------------------------------------
-// A send wakes only its receiver (RankScheduler::wake); allreduce completion,
-// death, recovery and poison wake everyone.  Each case below runs under both
-// schedulers and records, per rank, everything the body observed plus its
-// final clock; the records must match bitwise.  Under threads wake() is a
-// broadcast, so the threads run is the oracle for the seq ready heap.
+// A send wakes only its receiver (SeqScheduler::wake); allreduce completion,
+// death, recovery and poison wake everyone.  Each case records, per rank,
+// everything the body observed plus its final clock.
 
 using WakeCase = std::function<void(sim::VirtualCluster&, sim::RankContext&,
                                     std::vector<double>&)>;
+using WakeRecord = std::vector<std::vector<double>>;
 
-std::vector<std::vector<double>> run_wake_case(sim::SchedulerKind kind, int ranks,
-                                               const sim::FaultConfig& faults,
-                                               const WakeCase& body) {
+WakeRecord run_wake_case(int ranks, const sim::FaultConfig& faults, const WakeCase& body) {
   sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
-  spec.scheduler = kind;
   spec.faults = faults;
   sim::VirtualCluster cluster(spec);
-  // each rank appends only to its own row, so the rows need no lock
-  std::vector<std::vector<double>> seen(static_cast<std::size_t>(ranks));
+  WakeRecord seen(static_cast<std::size_t>(ranks));
   cluster.run([&](sim::RankContext& ctx) {
     auto& row = seen[static_cast<std::size_t>(ctx.rank())];
     body(cluster, ctx, row);
@@ -366,16 +382,14 @@ std::vector<std::vector<double>> run_wake_case(sim::SchedulerKind kind, int rank
   return seen;
 }
 
-// runs body under both schedulers, expects bitwise-equal records, and
-// returns the seq records for any pinned checks
-std::vector<std::vector<double>> expect_same_wake_case(int ranks, const WakeCase& body,
-                                                       const sim::FaultConfig& faults = {}) {
-  const auto threads = run_wake_case(sim::SchedulerKind::Threads, ranks, faults, body);
-  auto seq = run_wake_case(sim::SchedulerKind::Seq, ranks, faults, body);
-  EXPECT_EQ(threads.size(), seq.size());
-  for (std::size_t r = 0; r < threads.size() && r < seq.size(); ++r)
-    EXPECT_EQ(threads[r], seq[r]) << "rank " << r << " observed a different run under seq";
-  return seq;
+void sweep_wake_case(int ranks, const sim::FaultConfig& faults, const WakeCase& body,
+                     const WakeRecord& golden) {
+  sweep_budgets([&] { return run_wake_case(ranks, faults, body); },
+                [&](const WakeRecord& seen, const std::string& label) {
+                  ASSERT_EQ(seen.size(), golden.size()) << label;
+                  for (std::size_t r = 0; r < seen.size(); ++r)
+                    EXPECT_EQ(seen[r], golden[r]) << label << " rank " << r;
+                });
 }
 
 std::vector<std::byte> bytes_of(int first, int count) {
@@ -393,162 +407,101 @@ double byte_sum(std::vector<std::byte> b) {
 // rank 0 parks in an allreduce; rank 1 sends it a message before joining,
 // which wakes rank 0 inside the allreduce for nothing (it re-parks); rank 0
 // receives the message only after the allreduce completes
-TEST(SchedulerEquivalence, MessageToRankParkedInAllreduce) {
-  expect_same_wake_case(4, [](sim::VirtualCluster&, sim::RankContext& ctx,
-                              std::vector<double>& seen) {
-    const int r = ctx.rank();
-    if (r == 1) {
-      ctx.clock().advance(40);
-      (void)ctx.isend(0, 7, bytes_of(3, 64), 4096);
-      ctx.clock().advance(10);
-    } else if (r > 1) {
-      ctx.clock().advance(100.0 * r);
-    }
-    seen.push_back(ctx.allreduce_sum(1.0 + r));
-    if (r == 0) {
-      sim::RecvHandle h = ctx.recv(1, 7);
-      seen.push_back(h.arrival_us());
-      seen.push_back(h.send_time_us());
-      seen.push_back(byte_sum(h.take_payload()));
-    }
-  });
+void message_to_parked_rank(sim::VirtualCluster&, sim::RankContext& ctx,
+                            std::vector<double>& seen) {
+  const int r = ctx.rank();
+  if (r == 1) {
+    ctx.clock().advance(40);
+    (void)ctx.isend(0, 7, bytes_of(3, 64), 4096);
+    ctx.clock().advance(10);
+  } else if (r > 1) {
+    ctx.clock().advance(100.0 * r);
+  }
+  seen.push_back(ctx.allreduce_sum(1.0 + r));
+  if (r == 0) {
+    sim::RecvHandle h = ctx.recv(1, 7);
+    seen.push_back(h.arrival_us());
+    seen.push_back(h.send_time_us());
+    seen.push_back(byte_sum(h.take_payload()));
+  }
 }
 
 // wake(r) on a running rank (a self-send) and on a finished rank (a send
 // nobody will receive, posted after the receiver returned) is a no-op
-TEST(SchedulerEquivalence, WakeOnRunningOrFinishedRankIsNoOp) {
-  expect_same_wake_case(2, [](sim::VirtualCluster&, sim::RankContext& ctx,
+void wake_running_or_finished(sim::VirtualCluster&, sim::RankContext& ctx,
                               std::vector<double>& seen) {
-    if (ctx.rank() == 1) {
-      (void)ctx.isend(1, 3, bytes_of(1, 8), 512); // wakes itself while running
-      sim::RecvHandle self = ctx.recv(1, 3);
-      seen.push_back(self.arrival_us());
-      seen.push_back(byte_sum(self.take_payload()));
-      (void)ctx.isend(0, 5, bytes_of(9, 16), 1024);
-      return; // finished: rank 0's later send must not resume this rank
-    }
-    sim::RecvHandle h = ctx.recv(1, 5);
-    seen.push_back(h.arrival_us());
-    seen.push_back(byte_sum(h.take_payload()));
-    ctx.clock().advance(25);
-    (void)ctx.isend(1, 11, bytes_of(0, 8), 512); // wakes a finished rank
-  });
+  if (ctx.rank() == 1) {
+    (void)ctx.isend(1, 3, bytes_of(1, 8), 512); // wakes itself while running
+    sim::RecvHandle self = ctx.recv(1, 3);
+    seen.push_back(self.arrival_us());
+    seen.push_back(byte_sum(self.take_payload()));
+    (void)ctx.isend(0, 5, bytes_of(9, 16), 1024);
+    return; // finished: rank 0's later send must not resume this rank
+  }
+  sim::RecvHandle h = ctx.recv(1, 5);
+  seen.push_back(h.arrival_us());
+  seen.push_back(byte_sum(h.take_payload()));
+  ctx.clock().advance(25);
+  (void)ctx.isend(1, 11, bytes_of(0, 8), 512); // wakes a finished rank
 }
 
 // rank 1 dies (register_death marks it terminal) and then enters recovery
 // (marking it again): it counts once, survivors see the same count when the
 // failure detector fires, and the recovery rendezvous resets it to zero so
 // the next allreduce completes normally
-TEST(SchedulerEquivalence, TerminalCountCountsEachRankOnce) {
+sim::FaultConfig one_crash() {
   sim::FaultConfig faults;
   faults.seed = 17;
   faults.crash_rate = 1.0; // only rank 1 arms its draw below
   faults.crash_window_us = 10.0;
-  const auto seen = expect_same_wake_case(
-      3,
-      [](sim::VirtualCluster& cluster, sim::RankContext& ctx, std::vector<double>& row) {
-        if (ctx.rank() == 1) {
-          ctx.faults().arm_deaths(ctx.clock().now_us);
-          ctx.clock().advance(20); // past the window: the draw is due
-        }
-        try {
-          row.push_back(ctx.allreduce_sum(1.0)); // unreachable: rank 1 dies first
-        } catch (const sim::RankDeath&) {
-          ctx.enter_recovery();
-        } catch (const sim::RankFailure& f) {
-          EXPECT_EQ(f.failed_rank, 1);
-        }
-        row.push_back(cluster.terminal_count());
-        const sim::RecoveryEpoch ep = ctx.recovery_rendezvous();
-        row.push_back(ep.resume_us);
-        row.push_back(cluster.terminal_count());
-        row.push_back(ctx.allreduce_sum(1.0));
-      },
-      faults);
-  for (const auto& row : seen) {
-    ASSERT_EQ(row.size(), 5u);
-    EXPECT_EQ(row[0], 1.0) << "a dead rank that also enters recovery counts once";
-    EXPECT_EQ(row[2], 0.0) << "the recovery rendezvous resets the count";
-    EXPECT_EQ(row[3], 3.0) << "the allreduce after the rendezvous completes";
+  return faults;
+}
+
+void terminal_marked_twice(sim::VirtualCluster& cluster, sim::RankContext& ctx,
+                           std::vector<double>& row) {
+  if (ctx.rank() == 1) {
+    ctx.faults().arm_deaths(ctx.clock().now_us);
+    ctx.clock().advance(20); // past the window: the draw is due
   }
-}
-
-// --- scheduler selection and capacity ----------------------------------------
-
-TEST(SchedulerCapacity, DefaultCapacityAndOverride) {
-  EXPECT_EQ(sim::threads_scheduler_capacity(), 512);
-  ::setenv("QUDA_SIM_MAX_RANK_THREADS", "3", 1);
-  EXPECT_EQ(sim::threads_scheduler_capacity(), 3);
-  ::setenv("QUDA_SIM_MAX_RANK_THREADS", "0", 1); // below the >= 1 floor: ignored
-  EXPECT_EQ(sim::threads_scheduler_capacity(), 512);
-  ::unsetenv("QUDA_SIM_MAX_RANK_THREADS");
-  EXPECT_EQ(sim::threads_scheduler_capacity(), 512);
-}
-
-TEST(SchedulerCapacity, ThreadsOverCapacityRaisesTypedError) {
-  ::setenv("QUDA_SIM_MAX_RANK_THREADS", "3", 1);
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(4);
-  spec.scheduler = sim::SchedulerKind::Threads;
-  sim::VirtualCluster cluster(spec);
-  const ModeledSolverConfig cfg = modeled_config(CommPolicy::Overlap);
-  bool threw = false;
   try {
-    parallel::run_modeled_solver(cluster, cfg);
-  } catch (const sim::SchedulerCapacityError& e) {
-    threw = true;
-    EXPECT_EQ(e.requested(), 4);
-    EXPECT_EQ(e.capacity(), 3);
-    // the message must name the escape hatch
-    EXPECT_NE(std::string(e.what()).find("QUDA_SIM_SCHED=seq"), std::string::npos)
-        << e.what();
+    row.push_back(ctx.allreduce_sum(1.0)); // unreachable: rank 1 dies first
+  } catch (const sim::RankDeath&) {
+    ctx.enter_recovery();
+  } catch (const sim::RankFailure& f) {
+    EXPECT_EQ(f.failed_rank, 1);
   }
-  EXPECT_TRUE(threw) << "4 ranks over a 3-thread capacity must refuse to run";
-
-  // the same cluster size sails through under the cooperative scheduler
-  sim::ClusterSpec seq_spec = sim::ClusterSpec::jlab_9g(4);
-  seq_spec.scheduler = sim::SchedulerKind::Seq;
-  sim::VirtualCluster seq_cluster(seq_spec);
-  const ModeledSolverResult r = parallel::run_modeled_solver(seq_cluster, cfg);
-  EXPECT_TRUE(r.fits);
-  EXPECT_GT(r.effective_gflops, 0.0);
-  ::unsetenv("QUDA_SIM_MAX_RANK_THREADS");
+  row.push_back(cluster.terminal_count());
+  const sim::RecoveryEpoch ep = ctx.recovery_rendezvous();
+  row.push_back(ep.resume_us);
+  row.push_back(cluster.terminal_count());
+  row.push_back(ctx.allreduce_sum(1.0));
 }
 
-TEST(SchedulerResolve, ExplicitSpecBeatsEnvironment) {
-  ScopedEnv sched("QUDA_SIM_SCHED", "seq");
-  EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Threads),
-            sim::SchedulerKind::Threads);
-  EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Seq), sim::SchedulerKind::Seq);
-  EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Auto), sim::SchedulerKind::Seq);
-  sched.set("threads");
-  EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Auto), sim::SchedulerKind::Threads);
-  sched.set(nullptr);
-  EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Auto), sim::SchedulerKind::Threads);
+TEST(SchedulerEquivalence, MessageToRankParkedInAllreduce) {
+  // rank 0: allreduce sum, arrival and send time of rank 1's message, its
+  // byte sum, final clock; ranks 1-3: allreduce sum, final clock
+  sweep_wake_case(4, {}, message_to_parked_rank,
+                  {{10, 313.51022222222218, 40, 2208, 314.21022222222217},
+                   {10, 311.39999999999998},
+                   {10, 311.39999999999998},
+                   {10, 311.39999999999998}});
 }
 
-TEST(SchedulerResolve, UnknownEnvValueIsLoud) {
-  ScopedEnv sched("QUDA_SIM_SCHED", "fibers");
-  EXPECT_THROW(sim::resolve_scheduler(sim::SchedulerKind::Auto), std::invalid_argument);
+TEST(SchedulerEquivalence, WakeOnRunningOrFinishedRankIsNoOp) {
+  // per rank: arrival time and byte sum of the message received, final clock
+  sweep_wake_case(2, {}, wake_running_or_finished,
+                  {{4.1413333333333329, 264, 30.541333333333331},
+                   {2.0137777777777774, 36, 3.4137777777777778}});
 }
 
-TEST(SchedulerResolve, SchedulerNames) {
-  EXPECT_STREQ(sim::scheduler_name(sim::SchedulerKind::Threads), "threads");
-  EXPECT_STREQ(sim::scheduler_name(sim::SchedulerKind::Seq), "seq");
-}
-
-// the environment path end-to-end: Auto + QUDA_SIM_SCHED=seq runs the
-// fiber scheduler and lands on the threads timeline bitwise
-TEST(SchedulerResolve, EnvSelectedSeqMatchesThreads) {
-  exec::set_thread_budget(2);
-  const ModeledSolverConfig cfg = modeled_config(CommPolicy::Overlap);
-  const ModeledObs threads = run_modeled(sim::SchedulerKind::Threads, 4, cfg);
-  ModeledObs env_seq;
-  {
-    ScopedEnv sched("QUDA_SIM_SCHED", "seq");
-    env_seq = run_modeled(sim::SchedulerKind::Auto, 4, cfg);
-  }
-  expect_same_modeled(threads, env_seq, "env-selected seq");
-  exec::set_thread_budget(0);
+TEST(SchedulerEquivalence, TerminalCountCountsEachRankOnce) {
+  // per rank: terminal count at detection (1: counted once), resume time,
+  // count after the rendezvous (0: reset), the post-recovery allreduce (3),
+  // final clock
+  sweep_wake_case(3, one_crash(), terminal_marked_twice,
+                  {{1, 270, 0, 3, 281.39999999999998},
+                   {1, 270, 0, 3, 281.39999999999998},
+                   {1, 270, 0, 3, 281.39999999999998}});
 }
 
 } // namespace

@@ -21,8 +21,7 @@
 // (trace_seq256_golden.json) is left on disk for tools/quick_gate.sh to
 // lint against tools/trace_schema.json.
 //
-// SeqScale pins a 4096-rank point with observability off (labelled slow):
-// past the threads scheduler's capacity, where only seq can run.
+// SeqScale pins a 4096-rank point with observability off (labelled slow).
 
 #include "exec/host_engine.h"
 #include "parallel/modeled_solver.h"
@@ -58,7 +57,6 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
   scrub_trace_exports();
 
   sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(256);
-  spec.scheduler = sim::SchedulerKind::Seq;
   spec.trace.enabled = true;
   spec.trace.path = kTracePath;
   // the flight recorder runs on top: the goldens below must survive it
@@ -144,16 +142,10 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
 
 // 4096-rank scale point: the fat-tree tables' 32^3x256 global lattice on a
 // 4x4x4x64 grid (8^3x4 per rank), single/half overlap, 10 iterations, with
-// observability off.  The threads scheduler is capped at 512 ranks, so it
-// cannot be the oracle here.  Instead the makespan and Gflops are pinned
-// to what the seq loop produced when it still scanned every fiber per
-// resume and every send woke every parked rank, and a second run must
-// agree bitwise.
-sim::ClusterSpec fat_tree_4096_spec() {
-  sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(4096);
-  spec.scheduler = sim::SchedulerKind::Seq;
-  return spec;
-}
+// observability off.  The makespan and Gflops are pinned to what the seq
+// loop produced when it still scanned every fiber per resume and every send
+// woke every parked rank, and a second run must agree bitwise.
+sim::ClusterSpec fat_tree_4096_spec() { return sim::ClusterSpec::fat_tree(4096); }
 
 parallel::ModeledSolverConfig fat_tree_4096_config() {
   parallel::ModeledSolverConfig cfg;

@@ -3,13 +3,14 @@
 // failure isolation.
 
 #include "comm/qmp.h"
-#include "core/wallclock.h"
 #include "sim/event_sim.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <string>
+#include <vector>
 
 namespace quda::sim {
 namespace {
@@ -179,40 +180,62 @@ TEST(EventSim, RankFailurePropagatesWithoutDeadlock) {
                std::runtime_error);
 }
 
-TEST(WallClock, WatchdogClockIsInjectableAndRestorable) {
-  const auto fake = core::WallClock::time_point{} + std::chrono::seconds(5);
-  const core::WallClockFn prev = core::set_watchdog_clock_for_testing(
-      +[] { return core::WallClock::time_point{} + std::chrono::seconds(5); });
-  EXPECT_EQ(core::now_for_watchdog(), fake);
-  // restoring hands the watchdog back to the real monotonic clock
-  core::set_watchdog_clock_for_testing(prev);
-  const auto a = core::now_for_watchdog();
-  const auto b = core::now_for_watchdog();
-  EXPECT_LE(a, b);
-  EXPECT_NE(a, fake);
+// The deadlock guard: once every rank is parked no wakeup can ever come,
+// and the scheduler unparks one fiber deterministically instead of hanging.
+// Rank 1 below never sends, so rank 0's guarded wait must raise CommTimeout.
+TEST(EventSim, GuardedWaitThatCanNeverCompleteRaisesCommTimeout) {
+  VirtualCluster cluster(two_ranks_one_node());
+  EXPECT_THROW(cluster.run([](RankContext& ctx) {
+                 if (ctx.rank() == 0) {
+                   RankContext::PendingRecv p = ctx.irecv(1, 0);
+                   (void)ctx.wait(p, /*timeout_on_deadlock=*/true);
+                 }
+               }),
+               CommTimeout);
 }
 
-TEST(EventSim, WatchdogUsesInjectableClock) {
-  // The deadlock watchdog is the one real-time read in the simulator, and it
-  // goes through core::now_for_watchdog().  Injecting a clock stuck in the
-  // far past makes any deadline appear already expired, so the wait below
-  // must raise CommTimeout immediately -- despite the generous 60 s budget
-  // -- proving the watchdog reads the shim, not the real clock (and keeping
-  // this test instant and scheduler-independent).
-  const core::WallClockFn prev = core::set_watchdog_clock_for_testing(
-      +[] { return core::WallClock::time_point::min(); });
-  EXPECT_THROW(
-      {
-        VirtualCluster cluster(two_ranks_one_node());
-        cluster.run([](RankContext& ctx) {
-          if (ctx.rank() == 0) {
-            RankContext::PendingRecv p = ctx.irecv(1, 0);
-            (void)ctx.wait(p, /*wall_timeout_ms=*/60000.0); // rank 1 never sends
-          }
-        });
-      },
-      CommTimeout);
-  core::set_watchdog_clock_for_testing(prev);
+// with no guard armed the same situation is a true deadlock: a plain
+// runtime_error naming it, not a CommTimeout
+TEST(EventSim, UnguardedRecvThatCanNeverArriveIsSimulatedDeadlock) {
+  VirtualCluster cluster(two_ranks_one_node());
+  try {
+    cluster.run([](RankContext& ctx) {
+      if (ctx.rank() == 0) (void)ctx.recv(1, 0);
+    });
+    FAIL() << "a receive that can never complete must not return";
+  } catch (const CommTimeout& e) {
+    FAIL() << "an unguarded wait must not time out: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("simulated deadlock"), std::string::npos) << e.what();
+  }
+}
+
+// several ranks parked at once, two of them guarded: the lowest-ranked
+// guarded waiter (rank 1, not rank 0 or rank 2) is the one unparked.  It
+// raises CommTimeout and poisons the cluster, and every other rank then
+// fails as a peer of that timeout.
+TEST(EventSim, AllParkedUnparksLowestRankedGuardedWaiter) {
+  ClusterSpec spec = ClusterSpec::jlab_9g(4);
+  VirtualCluster cluster(spec);
+  std::vector<std::string> outcome(4);
+  EXPECT_THROW(cluster.run([&](RankContext& ctx) {
+                 const int r = ctx.rank();
+                 try {
+                   // rank r waits on rank r+1, which never sends; ranks 1
+                   // and 2 arm the guard, ranks 0 and 3 do not
+                   RankContext::PendingRecv p = ctx.irecv((r + 1) % 4, 0);
+                   (void)ctx.wait(p, /*timeout_on_deadlock=*/r == 1 || r == 2);
+                 } catch (const std::exception& e) {
+                   outcome[static_cast<std::size_t>(r)] = e.what();
+                   throw;
+                 }
+               }),
+               CommTimeout);
+  EXPECT_NE(outcome[1].find("deadlock guard: no message from rank 2"), std::string::npos)
+      << outcome[1];
+  for (const int r : {0, 2, 3})
+    EXPECT_EQ(outcome[static_cast<std::size_t>(r)], "peer rank raised CommTimeout during recv")
+        << "rank " << r;
 }
 
 TEST(EventSim, RecvHandleExposesArrivalAndSendTime) {

@@ -8,10 +8,7 @@
 #      self-test; a failure prints the offending file:line rule table and
 #      a one-line per-rule summary ("<tool>: rule summary -- rule:count");
 #   3. the fast test subset (ctest -LE slow), which includes the trace
-#      acceptance test that exports a fig5-sized Chrome trace, run twice:
-#      under the default scheduler (Auto resolves to threads) and again
-#      under QUDA_SIM_SCHED=seq, so the seq event loop's ready heap and
-#      targeted wakeups run under every test, sanitized builds included;
+#      acceptance test that exports a fig5-sized Chrome trace;
 #   4. trace-lint every file that acceptance run produced against
 #      tools/trace_schema.json;
 #   5. crash-recovery smoke: a seeded mid-solve rank crash must be detected,
@@ -64,7 +61,6 @@ python3 tools/semantic_check.py
 python3 tools/semantic_check.py --self-test
 
 ctest --test-dir "$BUILD" -LE slow --output-on-failure -j"$(nproc)"
-QUDA_SIM_SCHED=seq ctest --test-dir "$BUILD" -LE slow --output-on-failure -j"$(nproc)"
 
 shopt -s nullglob
 traces=("$BUILD"/tests/trace_fig5_acceptance.json*)
@@ -93,7 +89,7 @@ python3 tools/trace_lint.py "${rf_traces[@]}"
 # link-class and topology rules in tools/trace_schema.json, and the
 # telemetry JSONL it leaves behind must render into the HTML run report.
 (cd "$BUILD/tests" && ./quda_tests \
-  --gtest_filter='SeqGolden.*:SchedulerCapacity.*:SchedulerResolve.*' \
+  --gtest_filter='SeqGolden.*' \
   > /dev/null)
 seq_traces=("$BUILD"/tests/trace_seq256_golden.json*)
 if [ "${#seq_traces[@]}" -eq 0 ]; then

@@ -16,8 +16,8 @@ and runs whole-program rule families the per-file rules cannot see:
                         scanned file the manifest does not cover is a
                         finding
   sim-wallclock-taint   functions reaching core::wall_now() /
-                        now_for_watchdog() / std::random_device through
-                        the call graph are tainted; calling one from
+                        std::random_device through the call graph
+                        are tainted; calling one from
                         sim-time code is a finding unless the exact
                         (file, callee) edge is allowlisted in the
                         manifest with a reason
