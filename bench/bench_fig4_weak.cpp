@@ -29,7 +29,8 @@ void run_subfigure(BenchJson& json, const char* title, LatticeDims local,
   const std::vector<int> gpus = {1, 2, 4, 8, 16, 24, 32};
   std::vector<std::vector<parallel::ModeledSolverResult>> results(series.size());
   for (std::size_t s = 0; s < series.size(); ++s)
-    for (int n : gpus) results[s].push_back(run_weak_point(n, local, series[s]));
+    for (int n : gpus)
+      results[s].push_back(solve_point(sim::ClusterSpec::jlab_9g(n), local, series[s], 100));
   print_scaling_table(title, gpus, series, results);
   record_scaling_points(json, title, gpus, series, results);
 }
@@ -42,7 +43,7 @@ void run_multidim_table(BenchJson& json, const char* title, LatticeDims local,
   for (const auto& topo : grids) {
     const sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(topo.num_ranks());
     const auto r = run_weak_grid_point(spec, topo, local, series, /*iterations=*/10);
-    record_grid_point(json, title, series, topo, r);
+    record_point(json, title, series, grid_label(topo), topo.num_ranks(), r);
     if (!r.fits) {
       std::printf("%-8d %-14s %14s\n", topo.num_ranks(), grid_label(topo).c_str(), "OOM");
       continue;

@@ -47,7 +47,7 @@ void run_multidim_table(BenchJson& json, const char* title, LatticeDims global,
   for (const auto& topo : grids) {
     const sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(topo.num_ranks());
     const auto r = run_grid_point(spec, topo, global, series, iterations);
-    record_grid_point(json, title, series, topo, r);
+    record_point(json, title, series, grid_label(topo), topo.num_ranks(), r);
     if (!r.fits) {
       std::printf("%-8d %-14s %14s\n", topo.num_ranks(), grid_label(topo).c_str(), "OOM");
       continue;

@@ -99,24 +99,23 @@ struct SolverSeries {
   std::optional<Reconstruct> recon_sloppy{};
 };
 
-// run one modeled-solver data point: global volume split over `ranks` GPUs
-inline parallel::ModeledSolverResult run_point(int ranks, LatticeDims global,
-                                               const SolverSeries& series,
-                                               int iterations = 100) {
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
+// Solve one modeled-solver data point: `local` is the per-GPU volume and
+// `topo` the rank grid (default: the paper's 1-D ring over time).  Every
+// point records the event timeline, so it carries trace metrics (halo
+// bytes, overlap efficiency), and runs the flight recorder, so it carries
+// the iteration ledger, utilization timelines and anomaly counts;
+// QUDA_SIM_TRACE / QUDA_SIM_TELEMETRY additionally export each run.
+inline parallel::ModeledSolverResult solve_point(sim::ClusterSpec spec, LatticeDims local,
+                                                 const SolverSeries& series, int iterations,
+                                                 const comm::GridTopology& topo = {}) {
   spec.good_numa_binding = series.good_numa;
-  // record the event timeline so every point carries trace metrics (halo
-  // bytes, overlap efficiency); QUDA_SIM_TRACE additionally exports the
-  // Chrome JSON timeline of each run
   spec.trace.enabled = true;
-  // flight recorder: every point carries the iteration ledger, utilization
-  // timelines, and anomaly counts (QUDA_SIM_TELEMETRY exports the JSONL)
   spec.telemetry.enabled = true;
   sim::VirtualCluster cluster(spec);
 
   parallel::ModeledSolverConfig cfg;
-  cfg.local = global;
-  cfg.local.t = global.t / ranks;
+  cfg.local = local;
+  cfg.topology = topo;
   cfg.outer = series.outer;
   cfg.sloppy = series.sloppy;
   cfg.policy = series.policy;
@@ -126,25 +125,13 @@ inline parallel::ModeledSolverResult run_point(int ranks, LatticeDims global,
   return parallel::run_modeled_solver(cluster, cfg);
 }
 
-// weak scaling variant: `local` is the per-GPU volume
-inline parallel::ModeledSolverResult run_weak_point(int ranks, LatticeDims local,
-                                                    const SolverSeries& series,
-                                                    int iterations = 100) {
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
-  spec.good_numa_binding = series.good_numa;
-  spec.trace.enabled = true;
-  spec.telemetry.enabled = true;
-  sim::VirtualCluster cluster(spec);
-
-  parallel::ModeledSolverConfig cfg;
-  cfg.local = local;
-  cfg.outer = series.outer;
-  cfg.sloppy = series.sloppy;
-  cfg.policy = series.policy;
-  cfg.iterations = iterations;
-  cfg.reconstruct = series.recon;
-  cfg.reconstruct_sloppy = series.recon_sloppy;
-  return parallel::run_modeled_solver(cluster, cfg);
+// strong scaling: global volume split in time over `ranks` GPUs
+inline parallel::ModeledSolverResult run_point(int ranks, LatticeDims global,
+                                               const SolverSeries& series,
+                                               int iterations = 100) {
+  LatticeDims local = global;
+  local.t = global.t / ranks;
+  return solve_point(sim::ClusterSpec::jlab_9g(ranks), local, series, iterations);
 }
 
 // Run one modeled-solver data point decomposed over a full 4-D process grid
@@ -154,25 +141,12 @@ inline parallel::ModeledSolverResult run_grid_point(sim::ClusterSpec spec,
                                                     LatticeDims global,
                                                     const SolverSeries& series,
                                                     int iterations = 20) {
-  spec.good_numa_binding = series.good_numa;
-  spec.trace.enabled = true;
-  spec.telemetry.enabled = true;
-  sim::VirtualCluster cluster(spec);
-
-  parallel::ModeledSolverConfig cfg;
-  cfg.local = global;
-  cfg.local.x /= topo.dims[0];
-  cfg.local.y /= topo.dims[1];
-  cfg.local.z /= topo.dims[2];
-  cfg.local.t /= topo.dims[3];
-  cfg.topology = topo;
-  cfg.outer = series.outer;
-  cfg.sloppy = series.sloppy;
-  cfg.policy = series.policy;
-  cfg.iterations = iterations;
-  cfg.reconstruct = series.recon;
-  cfg.reconstruct_sloppy = series.recon_sloppy;
-  return parallel::run_modeled_solver(cluster, cfg);
+  LatticeDims local = global;
+  local.x /= topo.dims[0];
+  local.y /= topo.dims[1];
+  local.z /= topo.dims[2];
+  local.t /= topo.dims[3];
+  return solve_point(std::move(spec), local, series, iterations, topo);
 }
 
 // weak-scaling variant: `local` is the per-GPU volume, the global lattice
@@ -265,16 +239,20 @@ inline void record_critpath(BenchJson& json, const trace::CritSummary& c) {
   json.field("whatif_infinite_overlap_us", c.whatif_infinite_overlap_us);
 }
 
-// record one grid-decomposed point; the "grid" string joins the point
-// identity so per-dimension sweeps at equal GPU counts stay distinct keys
-inline void record_grid_point(BenchJson& json, const char* table, const SolverSeries& series,
-                              const comm::GridTopology& topo,
-                              const parallel::ModeledSolverResult& r) {
+// Record one modeled point.  Its identity is the string fields (bench_diff
+// joins on them): table, series, the grid label of a grid-decomposed point
+// (empty: omitted) so per-dimension sweeps at equal GPU counts stay
+// distinct keys, and the link reconstruction -- legacy series omit it,
+// keeping their baseline keys byte-stable.  Footprints are numeric, so
+// recon-knob changes show up as value deltas on stable points.
+inline void record_point(BenchJson& json, const char* table, const SolverSeries& series,
+                         const std::string& grid, int gpus,
+                         const parallel::ModeledSolverResult& r) {
   json.point();
   json.field("table", table);
   json.field("series", series.label);
-  json.field("grid", grid_label(topo));
-  json.field("gpus", static_cast<double>(topo.num_ranks()));
+  if (!grid.empty()) json.field("grid", grid);
+  json.field("gpus", static_cast<double>(gpus));
   if (series.recon) json.field("recon", to_string(*series.recon));
   if (series.recon_sloppy) json.field("recon_sloppy", to_string(*series.recon_sloppy));
   json.field("fits", static_cast<double>(r.fits));
@@ -298,32 +276,8 @@ inline void record_scaling_points(BenchJson& json, const char* table,
                                   const std::vector<std::vector<parallel::ModeledSolverResult>>&
                                       results /* [series][point] */) {
   for (std::size_t s = 0; s < series.size(); ++s)
-    for (std::size_t p = 0; p < gpu_counts.size(); ++p) {
-      const auto& r = results[s][p];
-      json.point();
-      json.field("table", table);
-      json.field("series", series[s].label);
-      json.field("gpus", static_cast<double>(gpu_counts[p]));
-      // link reconstruction joins the point identity (string fields are part
-      // of the bench_diff key); legacy series omit it, keeping their
-      // baseline keys byte-stable
-      if (series[s].recon) json.field("recon", to_string(*series[s].recon));
-      if (series[s].recon_sloppy) json.field("recon_sloppy", to_string(*series[s].recon_sloppy));
-      json.field("fits", static_cast<double>(r.fits));
-      // footprints are numeric (not part of the bench_diff join key), so
-      // recon-knob changes show up as value deltas on stable points
-      json.field("footprint_bytes", static_cast<double>(r.footprint_bytes));
-      json.field("gauge_footprint_bytes", static_cast<double>(r.gauge_footprint_bytes));
-      if (r.fits) {
-        json.field("gflops", r.effective_gflops);
-        json.field("time_us", r.time_us);
-        if (r.traced) {
-          record_metrics(json, r.metrics);
-          record_critpath(json, r.critpath);
-        }
-        record_telemetry(json, r.telemetry);
-      }
-    }
+    for (std::size_t p = 0; p < gpu_counts.size(); ++p)
+      record_point(json, table, series[s], "", gpu_counts[p], results[s][p]);
 }
 
 } // namespace quda::bench

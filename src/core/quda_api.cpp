@@ -465,7 +465,7 @@ InvertResult invert_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGa
 
   result.traced = cluster.trace().enabled;
   if (result.traced) {
-    result.trace_metrics = trace::compute_metrics(cluster.trace());
+    result.trace_metrics = cluster.metrics();
     result.critpath = trace::analyze_solve(
         cluster.trace(), trace::ModelConfig{cluster_spec.device.dual_copy_engine});
   }

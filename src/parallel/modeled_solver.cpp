@@ -213,7 +213,7 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
   result.time_us = cluster.makespan_us();
   result.traced = cluster.trace().enabled;
   if (result.traced) {
-    result.metrics = trace::compute_metrics(cluster.trace());
+    result.metrics = cluster.metrics();
     result.critpath = trace::analyze_solve(
         cluster.trace(), trace::ModelConfig{cluster.spec().device.dual_copy_engine});
   }

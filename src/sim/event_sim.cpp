@@ -240,11 +240,11 @@ RecvHandle RankContext::wait(PendingRecv& pending, bool timeout_on_deadlock) {
   }
   h.msg_ = std::move(chan.queue.front());
   chan.queue.pop_front();
-  // interconnect-aware wire time: same-node shm, one-hop IB, or the
-  // cross-switch fat-tree path (flat specs reproduce the historical
-  // NetworkModel::transfer_time_us bit-for-bit)
+  // interconnect-aware wire time (ClusterSpec::path_time_us): same-node
+  // shm, one-hop IB, or the cross-switch fat-tree path (flat specs
+  // reproduce the historical NetworkModel::transfer_time_us bit-for-bit)
   const double path =
-      perf::comm_path_us(spec_, pending.src, rank_, h.msg_.modeled_bytes) * h.msg_.delay_factor;
+      spec_.path_time_us(pending.src, rank_, h.msg_.modeled_bytes) * h.msg_.delay_factor;
   h.arrival_us_ = std::max(h.msg_.send_time_us, pending.post_time_us) + path;
   clock_.now_us = std::max(clock_.now_us, h.arrival_us_);
   clock_.advance(spec_.net.mpi_overhead_us);
@@ -488,6 +488,9 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
     if (!trace_path.empty())
       trace::write_chrome_trace(trace::unique_trace_path(trace_path), trace_report_);
   }
+  // one fold per rank feeds both the metrics and the telemetry timelines
+  const trace::TraceFold fold = trace::fold(trace_report_);
+  metrics_ = fold.tally.metrics;
 
   // telemetry analysis is strictly post-run (the ranks are torn down), so
   // it can never perturb simulated time; like the trace it survives a
@@ -502,7 +505,7 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
     acfg.monitors = spec_.telemetry.monitors;
     acfg.shm_peak_gbs = spec_.net.shm_bw_gbs;
     acfg.ib_peak_gbs = spec_.net.ib_bw_gbs;
-    telemetry_report_ = telemetry::build_report(recorders, trace_report_, makespan_us_, acfg);
+    telemetry_report_ = telemetry::build_report(recorders, fold, makespan_us_, acfg);
     if (!telemetry_path.empty())
       telemetry::write_jsonl(telemetry::unique_export_path(telemetry_path), telemetry_report_,
                              provenance);

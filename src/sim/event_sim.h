@@ -40,7 +40,7 @@
 #include "sim/cluster_spec.h"
 #include "sim/fault_model.h"
 #include "sim/scheduler.h"
-#include "trace/trace.h"
+#include "trace/metrics.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -243,6 +243,10 @@ public:
   // ClusterSpec::trace or QUDA_SIM_TRACE (populated even when a rank threw)
   const trace::TraceReport& trace() const { return trace_report_; }
 
+  // trace::Metrics of the last run(), from the same one fold per rank that
+  // feeds telemetry() (all zero when tracing was off)
+  const trace::Metrics& metrics() const { return metrics_; }
+
   // solver flight-recorder report of the last run() when telemetry was
   // enabled via ClusterSpec::telemetry or QUDA_SIM_TELEMETRY
   const telemetry::TelemetryReport& telemetry() const { return telemetry_report_; }
@@ -345,6 +349,7 @@ private:
   FaultCounters fault_totals_;
   std::vector<FaultCounters> per_rank_counters_;
   trace::TraceReport trace_report_;
+  trace::Metrics metrics_;
   telemetry::TelemetryReport telemetry_report_;
 };
 

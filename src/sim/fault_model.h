@@ -212,7 +212,7 @@ private:
 };
 
 // Per-rank view: owns the event counters and the fault/recovery accounting.
-// One per RankContext; accessed only from that rank's thread.
+// One per RankContext; accessed only from that rank's fiber.
 class FaultStream {
 public:
   FaultStream(const FaultModel* model, int rank) : model_(model), rank_(rank) {}

@@ -2,19 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
-#include <vector>
 
 namespace quda::trace {
 
 namespace {
 
-using Interval = std::pair<double, double>;
-
 // merge possibly-overlapping intervals into a disjoint sorted union
-std::vector<Interval> interval_union(std::vector<Interval> in) {
+Intervals interval_union(Intervals in) {
   std::sort(in.begin(), in.end());
-  std::vector<Interval> out;
+  Intervals out;
   for (const Interval& iv : in) {
     if (iv.second <= iv.first) continue;
     if (!out.empty() && iv.first <= out.back().second) {
@@ -26,14 +22,8 @@ std::vector<Interval> interval_union(std::vector<Interval> in) {
   return out;
 }
 
-double total_length(const std::vector<Interval>& u) {
-  double t = 0;
-  for (const Interval& iv : u) t += iv.second - iv.first;
-  return t;
-}
-
 // length of the intersection of two disjoint sorted unions
-double intersection_length(const std::vector<Interval>& a, const std::vector<Interval>& b) {
+double intersection_length(const Intervals& a, const Intervals& b) {
   double t = 0;
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -49,51 +39,92 @@ double intersection_length(const std::vector<Interval>& a, const std::vector<Int
   return t;
 }
 
+bool is_recovery_span(const char* name) {
+  return std::strcmp(name, "detect") == 0 || std::strcmp(name, "respawn") == 0 ||
+         std::strcmp(name, "rollback") == 0 || std::strcmp(name, "restore") == 0 ||
+         std::strcmp(name, "resume") == 0;
+}
+
 } // namespace
 
-Metrics compute_metrics(const TraceReport& report) {
-  Metrics m;
-  for (const auto& rank_events : report.per_rank) {
-    std::vector<Interval> comm_windows;
-    std::vector<Interval> kernel_windows;
-    for (const Event& e : rank_events) {
-      ++m.events;
-      if (e.instant) {
-        if (std::strcmp(e.name, "isend") == 0) {
-          ++m.messages;
-          m.halo_bytes += e.bytes;
-        } else if (std::strcmp(e.name, "retry") == 0) {
-          ++m.retries;
-        } else if (std::strcmp(e.name, "checksum_error") == 0) {
-          ++m.checksum_errors;
-        }
-        continue;
-      }
-      if (e.track == kTrackComm && std::strcmp(e.name, "msg_flight") == 0) {
-        // delivered wire bytes by link class (sim::LinkClass numeric values)
-        if (e.link == 0) {
-          m.shm_bytes += e.bytes;
-        } else if (e.link == 1) {
-          m.ib_bytes += e.bytes;
-        } else if (e.link == 2) {
-          m.xswitch_bytes += e.bytes;
-        }
-      }
-      if (e.cat == Cat::Kernel && e.track >= 0) {
-        m.kernel_us += e.dur_us;
-        m.kernels[e.name].add(e.dur_us);
-        kernel_windows.emplace_back(e.ts_us, e.ts_us + e.dur_us);
-      } else if (e.track == kTrackComm && std::strcmp(e.name, "halo_comm") == 0) {
-        comm_windows.emplace_back(e.ts_us, e.ts_us + e.dur_us);
-      }
-    }
-    const auto comm_union = interval_union(std::move(comm_windows));
-    const auto kernel_union = interval_union(std::move(kernel_windows));
-    m.comm_us += total_length(comm_union);
-    m.overlapped_us += intersection_length(comm_union, kernel_union);
-  }
-  m.overlap_efficiency = m.comm_us > 0 ? m.overlapped_us / m.comm_us : 0.0;
-  return m;
+double total_length(const Intervals& u) {
+  double t = 0;
+  for (const Interval& iv : u) t += iv.second - iv.first;
+  return t;
 }
+
+Intervals interval_subtract(const Intervals& a, const Intervals& b) {
+  Intervals out;
+  std::size_t j = 0;
+  for (const Interval& iv : a) {
+    double lo = iv.first;
+    while (j < b.size() && b[j].second <= lo) ++j;
+    std::size_t k = j;
+    while (k < b.size() && b[k].first < iv.second && lo < iv.second) {
+      if (b[k].first > lo) out.emplace_back(lo, b[k].first);
+      lo = std::max(lo, b[k].second);
+      ++k;
+    }
+    if (lo < iv.second) out.emplace_back(lo, iv.second);
+  }
+  return out;
+}
+
+Activity fold(const Event* first, const Event* last, Tally& tally) {
+  Metrics& m = tally.metrics;
+  long* link_bytes[kNumLinkClasses] = {&m.shm_bytes, &m.ib_bytes, &m.xswitch_bytes};
+  Activity a;
+  for (const Event* e = first; e != last; ++e) {
+    ++m.events;
+    if (e->instant) {
+      if (std::strcmp(e->name, "isend") == 0) {
+        ++m.messages;
+        m.halo_bytes += e->bytes;
+      } else if (std::strcmp(e->name, "retry") == 0) {
+        ++m.retries;
+      } else if (std::strcmp(e->name, "checksum_error") == 0) {
+        ++m.checksum_errors;
+      }
+      continue;
+    }
+    const double dur_us = e->end_us - e->ts_us;
+    if (e->cat == Cat::Kernel && e->track >= 0) {
+      m.kernels[e->name].add(dur_us);
+      m.kernel_us += dur_us;
+      a.kernel.emplace_back(e->ts_us, e->end_us);
+    } else if (e->track == kTrackComm && std::strcmp(e->name, "msg_flight") == 0) {
+      // delivered wire traffic by link class (sim::LinkClass numeric values)
+      if (e->link >= 0 && e->link < kNumLinkClasses) {
+        *link_bytes[e->link] += e->bytes;
+        tally.flight_us[e->link] += dur_us;
+      }
+    } else if (e->track == kTrackComm && std::strcmp(e->name, "halo_comm") == 0) {
+      a.halo_comm.emplace_back(e->ts_us, e->end_us);
+    } else if (e->cat == Cat::Copy) {
+      a.pcie.emplace_back(e->ts_us, e->end_us);
+    } else if (e->cat == Cat::Fault) {
+      (is_recovery_span(e->name) ? a.recovery : a.stall).emplace_back(e->ts_us, e->end_us);
+    }
+  }
+  a.kernel = interval_union(std::move(a.kernel));
+  a.halo_comm = interval_union(std::move(a.halo_comm));
+  a.pcie = interval_union(std::move(a.pcie));
+  a.recovery = interval_union(std::move(a.recovery));
+  a.stall = interval_union(std::move(a.stall));
+  m.comm_us += total_length(a.halo_comm);
+  m.overlapped_us += intersection_length(a.halo_comm, a.kernel);
+  m.overlap_efficiency = m.comm_us > 0 ? m.overlapped_us / m.comm_us : 0.0;
+  return a;
+}
+
+TraceFold fold(const TraceReport& report) {
+  TraceFold f;
+  f.ranks.reserve(report.per_rank.size());
+  for (const auto& events : report.per_rank)
+    f.ranks.push_back(fold(events.data(), events.data() + events.size(), f.tally));
+  return f;
+}
+
+Metrics compute_metrics(const TraceReport& report) { return fold(report).tally.metrics; }
 
 } // namespace quda::trace

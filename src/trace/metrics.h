@@ -1,18 +1,26 @@
 #pragma once
-// Aggregated metrics derived from a TraceReport.
+// The one fold over recorded events, and the metrics derived from it.
 //
-// compute_metrics folds the per-rank event streams into the headline
-// numbers the benches merge into their BENCH_<name>.json: halo traffic,
-// retry counts, per-kernel time histograms, and the paper's overlap
-// efficiency (overlapped-comm-time / total-comm-time).  Overlap is
-// measured geometrically from the recorded timeline: per rank, the union
-// of "halo_comm" windows on the comm track intersected with the union of
-// kernel spans across the device streams.
+// fold() walks a rank's events (or any range of them) once, classifies each
+// event once, and yields running totals (instant counts, per-kernel stats,
+// msg_flight bytes and time per link class, added event by event in rank
+// order) plus the rank's disjoint activity unions, built from each span's
+// exact (ts_us, end_us).  Its three consumers: compute_metrics sums the
+// folds of all ranks; telemetry::build_report bucketizes the same folds
+// into utilization timelines and bandwidth gauges; the overlap-collapse
+// monitor folds the event suffix since its last iteration boundary.
+// VirtualCluster::run folds each rank once per traced run and feeds both.
+//
+// Overlap efficiency (the paper's overlapped / total comm time) is measured
+// geometrically: per rank, the union of "halo_comm" windows on the comm
+// track intersected with the union of kernel spans across the streams.
 
 #include "trace/trace.h"
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace quda::trace {
 
@@ -56,6 +64,43 @@ struct Metrics {
   double kernel_us = 0;          // total device kernel time
   std::map<std::string, KernelStat> kernels;
 };
+
+using Interval = std::pair<double, double>; // [begin, end) in simulated us
+using Intervals = std::vector<Interval>;
+
+// total length of a disjoint union
+double total_length(const Intervals& u);
+// a \ b for disjoint sorted unions
+Intervals interval_subtract(const Intervals& a, const Intervals& b);
+
+// disjoint sorted activity unions of one rank (or one event range)
+struct Activity {
+  Intervals kernel;    // device kernels on any stream
+  Intervals halo_comm; // halo_comm windows on the comm track
+  Intervals pcie;      // host<->device copies
+  Intervals recovery;  // rank-failure detect/respawn/rollback/restore/resume
+  Intervals stall;     // every other fault span: checkpoint/storage waits
+};
+
+inline constexpr int kNumLinkClasses = 3; // sim::LinkClass: shm, ib, xswitch
+
+// totals accumulated across the folded ranks
+struct Tally {
+  Metrics metrics;
+  double flight_us[kNumLinkClasses] = {}; // msg_flight time per link class
+};
+
+// Fold events [first, last) of one rank into `tally` (its halo_comm length
+// and kernel overlap included) and return the range's activity unions.
+Activity fold(const Event* first, const Event* last, Tally& tally);
+
+// every rank of a report folded once, in rank order
+struct TraceFold {
+  Tally tally;
+  std::vector<Activity> ranks; // indexed by rank
+};
+
+TraceFold fold(const TraceReport& report);
 
 Metrics compute_metrics(const TraceReport& report);
 

@@ -4,77 +4,17 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 namespace quda::telemetry {
 
 namespace {
 
-using Interval = std::pair<double, double>;
-
-// merge possibly-overlapping intervals into a disjoint sorted union
-std::vector<Interval> interval_union(std::vector<Interval> in) {
-  std::sort(in.begin(), in.end());
-  std::vector<Interval> out;
-  for (const Interval& iv : in) {
-    if (iv.second <= iv.first) continue;
-    if (!out.empty() && iv.first <= out.back().second) {
-      out.back().second = std::max(out.back().second, iv.second);
-    } else {
-      out.push_back(iv);
-    }
-  }
-  return out;
-}
-
-double total_length(const std::vector<Interval>& u) {
-  double t = 0;
-  for (const Interval& iv : u) t += iv.second - iv.first;
-  return t;
-}
-
-// length of the intersection of two disjoint sorted unions
-double intersection_length(const std::vector<Interval>& a, const std::vector<Interval>& b) {
-  double t = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const double lo = std::max(a[i].first, b[j].first);
-    const double hi = std::min(a[i].second, b[j].second);
-    if (hi > lo) t += hi - lo;
-    if (a[i].second < b[j].second) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return t;
-}
-
-// a \ b for disjoint sorted unions (the exposed-communication windows)
-std::vector<Interval> interval_subtract(const std::vector<Interval>& a,
-                                        const std::vector<Interval>& b) {
-  std::vector<Interval> out;
-  std::size_t j = 0;
-  for (const Interval& iv : a) {
-    double lo = iv.first;
-    while (j < b.size() && b[j].second <= lo) ++j;
-    std::size_t k = j;
-    while (k < b.size() && b[k].first < iv.second && lo < iv.second) {
-      if (b[k].first > lo) out.emplace_back(lo, b[k].first);
-      lo = std::max(lo, b[k].second);
-      ++k;
-    }
-    if (lo < iv.second) out.emplace_back(lo, iv.second);
-  }
-  return out;
-}
-
 // spread a disjoint union over fixed-width buckets as coverage fractions
-void bucketize(const std::vector<Interval>& u, double bucket_us, std::vector<double>& frac) {
+void bucketize(const trace::Intervals& u, double bucket_us, std::vector<double>& frac) {
   if (bucket_us <= 0) return;
   const auto nb = static_cast<double>(frac.size());
-  for (const Interval& iv : u) {
+  for (const trace::Interval& iv : u) {
     double lo = iv.first / bucket_us;
     double hi = iv.second / bucket_us;
     lo = std::max(0.0, std::min(lo, nb));
@@ -86,12 +26,6 @@ void bucketize(const std::vector<Interval>& u, double bucket_us, std::vector<dou
       if (bhi > blo) frac[b] += bhi - blo;
     }
   }
-}
-
-bool is_recovery_span(const char* name) {
-  return std::strcmp(name, "detect") == 0 || std::strcmp(name, "respawn") == 0 ||
-         std::strcmp(name, "rollback") == 0 || std::strcmp(name, "restore") == 0 ||
-         std::strcmp(name, "resume") == 0;
 }
 
 void json_escape_into(std::string& out, const std::string& s) {
@@ -287,21 +221,12 @@ void RankRecorder::run_monitors(const IterationRecord& rec) {
   // the mean of the run's own opening iterations
   if (tracer_ != nullptr && tracer_->enabled()) {
     const auto& events = tracer_->events();
-    std::vector<Interval> comm, kern;
-    for (std::size_t i = last_event_idx_; i < events.size(); ++i) {
-      const trace::Event& e = events[i];
-      if (e.instant) continue;
-      if (e.cat == trace::Cat::Kernel && e.track >= 0) {
-        kern.emplace_back(e.ts_us, e.end_us);
-      } else if (e.track == trace::kTrackComm && std::strcmp(e.name, "halo_comm") == 0) {
-        comm.emplace_back(e.ts_us, e.end_us);
-      }
-    }
+    trace::Tally suffix;
+    trace::fold(events.data() + last_event_idx_, events.data() + events.size(), suffix);
     last_event_idx_ = events.size();
-    const auto cu = interval_union(std::move(comm));
-    const double comm_us = total_length(cu);
+    const double comm_us = suffix.metrics.comm_us;
     if (comm_us > 0) {
-      const double eff = intersection_length(cu, interval_union(std::move(kern))) / comm_us;
+      const double eff = suffix.metrics.overlapped_us / comm_us;
       if (overlap_baseline_n_ < monitors_.opening_iters) {
         overlap_baseline_sum_ += eff;
         ++overlap_baseline_n_;
@@ -349,7 +274,7 @@ ScopedRecorder::~ScopedRecorder() { t_current = prev_; }
 // --- post-run analysis -------------------------------------------------------
 
 TelemetryReport build_report(const std::vector<const RankRecorder*>& recorders,
-                             const trace::TraceReport& trace, double makespan_us,
+                             const trace::TraceFold& trace, double makespan_us,
                              const AnalysisConfig& cfg) {
   TelemetryReport rep;
   rep.enabled = true;
@@ -368,51 +293,26 @@ TelemetryReport build_report(const std::vector<const RankRecorder*>& recorders,
       if (r != nullptr && r->ledger().size() != rep.ledger.size()) rep.ledger_symmetric = false;
   }
 
-  // utilization timelines from the recorded event stream (empty untraced)
+  // utilization timelines from the folded event stream (empty untraced)
   const int buckets = std::max(1, cfg.buckets);
-  std::vector<double> busy_us(trace.per_rank.size(), 0.0);
-  double flight_bytes[3] = {0, 0, 0};
-  double flight_us[3] = {0, 0, 0};
-  if (makespan_us > 0 && !trace.per_rank.empty()) {
+  std::vector<double> busy_us(trace.ranks.size(), 0.0);
+  if (makespan_us > 0 && !trace.ranks.empty()) {
     rep.bucket_us = makespan_us / buckets;
-    rep.timelines.resize(trace.per_rank.size());
-    for (std::size_t rank = 0; rank < trace.per_rank.size(); ++rank) {
-      std::vector<Interval> kern, comm, pcie, stall, recov;
-      for (const trace::Event& e : trace.per_rank[rank]) {
-        if (e.instant) continue;
-        if (e.cat == trace::Cat::Kernel && e.track >= 0) {
-          kern.emplace_back(e.ts_us, e.end_us);
-        } else if (e.track == trace::kTrackComm && std::strcmp(e.name, "msg_flight") == 0) {
-          if (e.link >= 0 && e.link < 3) {
-            flight_bytes[e.link] += static_cast<double>(e.bytes);
-            flight_us[e.link] += e.end_us - e.ts_us;
-          }
-        } else if (e.track == trace::kTrackComm && std::strcmp(e.name, "halo_comm") == 0) {
-          comm.emplace_back(e.ts_us, e.end_us);
-        } else if (e.cat == trace::Cat::Copy) {
-          pcie.emplace_back(e.ts_us, e.end_us);
-        } else if (e.cat == trace::Cat::Fault) {
-          if (is_recovery_span(e.name)) {
-            recov.emplace_back(e.ts_us, e.end_us);
-          } else {
-            stall.emplace_back(e.ts_us, e.end_us); // checkpoint/storage waits
-          }
-        }
-      }
-      const auto kern_u = interval_union(std::move(kern));
-      const auto comm_u = interval_union(std::move(comm));
+    rep.timelines.resize(trace.ranks.size());
+    for (std::size_t rank = 0; rank < trace.ranks.size(); ++rank) {
+      const trace::Activity& a = trace.ranks[rank];
       RankTimeline& tl = rep.timelines[rank];
       tl.busy.assign(buckets, 0.0);
       tl.exposed_comm.assign(buckets, 0.0);
       tl.pcie.assign(buckets, 0.0);
       tl.stall.assign(buckets, 0.0);
       tl.recovery.assign(buckets, 0.0);
-      bucketize(kern_u, rep.bucket_us, tl.busy);
-      bucketize(interval_subtract(comm_u, kern_u), rep.bucket_us, tl.exposed_comm);
-      bucketize(interval_union(std::move(pcie)), rep.bucket_us, tl.pcie);
-      bucketize(interval_union(std::move(stall)), rep.bucket_us, tl.stall);
-      bucketize(interval_union(std::move(recov)), rep.bucket_us, tl.recovery);
-      busy_us[rank] = total_length(kern_u);
+      bucketize(a.kernel, rep.bucket_us, tl.busy);
+      bucketize(trace::interval_subtract(a.halo_comm, a.kernel), rep.bucket_us, tl.exposed_comm);
+      bucketize(a.pcie, rep.bucket_us, tl.pcie);
+      bucketize(a.stall, rep.bucket_us, tl.stall);
+      bucketize(a.recovery, rep.bucket_us, tl.recovery);
+      busy_us[rank] = trace::total_length(a.kernel);
     }
   }
 
@@ -435,12 +335,16 @@ TelemetryReport build_report(const std::vector<const RankRecorder*>& recorders,
   }
 
   // achieved-vs-model-peak wire bandwidth (GB/s); bytes/us = 1e-3 GB/s
-  const char* link_names[3] = {"shm", "ib", "xswitch"};
-  const double peaks[3] = {cfg.shm_peak_gbs, cfg.ib_peak_gbs, cfg.ib_peak_gbs};
-  for (int c = 0; c < 3; ++c) {
-    if (flight_us[c] <= 0) continue;
+  const trace::Metrics& m = trace.tally.metrics;
+  const long flight_bytes[trace::kNumLinkClasses] = {m.shm_bytes, m.ib_bytes, m.xswitch_bytes};
+  const char* link_names[trace::kNumLinkClasses] = {"shm", "ib", "xswitch"};
+  const double peaks[trace::kNumLinkClasses] = {cfg.shm_peak_gbs, cfg.ib_peak_gbs,
+                                                cfg.ib_peak_gbs};
+  for (int c = 0; c < trace::kNumLinkClasses; ++c) {
+    const double flight_us = trace.tally.flight_us[c];
+    if (flight_us <= 0) continue;
     rep.registry.gauge(std::string("achieved_") + link_names[c] + "_gbs",
-                       flight_bytes[c] / flight_us[c] * 1e-3);
+                       static_cast<double>(flight_bytes[c]) / flight_us * 1e-3);
     rep.registry.gauge(std::string("peak_") + link_names[c] + "_gbs", peaks[c]);
   }
 

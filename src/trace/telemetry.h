@@ -20,9 +20,9 @@
 //    exported as JSONL via QUDA_SIM_TELEMETRY=<path>;
 //  * per-rank utilization timelines (busy / exposed-comm / PCIe / stall /
 //    recovery fraction per time bucket) plus achieved-vs-model-peak
-//    bandwidth gauges, derived post-run from the same event stream the
-//    critical-path model consumes, and a load-imbalance metric
-//    (max/mean busy fraction);
+//    bandwidth gauges, bucketized post-run from the same per-rank
+//    trace::fold (metrics.h) that produces trace::Metrics, and a
+//    load-imbalance metric (max/mean busy fraction);
 //  * online anomaly monitors evaluated at iteration boundaries (residual
 //    stagnation, retry-rate spikes, overlap-efficiency collapse vs. the
 //    run's own opening iterations, post-hoc utilization imbalance) that
@@ -36,7 +36,7 @@
 // wall-clock or arrival order -- so exports are bit-stable across
 // thread budgets.
 
-#include "trace/trace.h"
+#include "trace/metrics.h"
 
 #include <cstdint>
 #include <map>
@@ -190,7 +190,7 @@ struct TelemetryOptions {
 // --- per-rank recorder -------------------------------------------------------
 
 // Ledger/metric sink of one simulated rank, owned by its RankContext and
-// written only from that rank's thread.  Like RankTracer it is bound to
+// written only from that rank's fiber.  Like RankTracer it is bound to
 // the rank's clock (read-only) and, when available, the rank's tracer and
 // retry counter -- the recorder never mutates any of them.
 class RankRecorder {
@@ -256,12 +256,13 @@ private:
   int overlap_baseline_n_ = 0;
 };
 
-// thread-local recorder of the simulated rank running on this OS thread;
-// null outside a rank.  The returned recorder may be disabled -- hooks on
-// a disabled recorder are no-ops -- so the scheduler binds unconditionally.
+// recorder of the rank fiber the event loop is running; null outside a
+// rank.  The returned recorder may be disabled -- hooks on a disabled
+// recorder are no-ops -- so the scheduler binds unconditionally.
 RankRecorder* current();
 
-// RAII binding of current() for the lifetime of a rank thread's workload
+// RAII binding of current(); the seq scheduler binds the rank's recorder
+// for the span of each resume of its fiber
 class ScopedRecorder {
 public:
   explicit ScopedRecorder(RankRecorder* recorder);
@@ -308,11 +309,12 @@ struct TelemetryReport {
   long iterations() const { return static_cast<long>(ledger.size()); }
 };
 
-// Fold the per-rank recorders + the recorded trace into one report.  Pure
+// Fold the per-rank recorders + the folded trace (trace::fold, one
+// Activity per rank; empty when untraced) into one report.  Pure
 // post-run analysis: runs after the scheduler tore the ranks down, so it
 // can never perturb simulated time.
 TelemetryReport build_report(const std::vector<const RankRecorder*>& recorders,
-                             const trace::TraceReport& trace, double makespan_us,
+                             const trace::TraceFold& trace, double makespan_us,
                              const AnalysisConfig& cfg);
 
 // Write the report as JSON Lines: one provenance object (when

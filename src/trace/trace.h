@@ -9,20 +9,21 @@
 // traced run is bit-identical in simulated time to an untraced one (the
 // invariant tests/test_exec.cpp pins).
 //
-// Ownership and threading: each RankContext owns one RankTracer, written
-// only from that rank's thread, so no synchronization is needed on the hot
-// path.  Layers that cannot see the RankContext (the device model, the
-// solvers) emit through the thread-local current() pointer, which
-// VirtualCluster::run binds for the duration of each rank thread -- and
-// only when tracing is enabled, so the disabled cost is one null check.
+// Ownership: each RankContext owns one RankTracer.  Every rank is a fiber
+// on the one event-loop thread, and worker-pool chunks never emit, so the
+// hot path needs no synchronization.  Layers that cannot see the
+// RankContext (the device model, the solvers) emit through current(),
+// which the seq scheduler binds on every resume of a rank fiber -- and only
+// when tracing is enabled, so the disabled cost is one null check.
 //
-// Two sinks consume the recorded events after a run:
+// Consumers of the recorded events after a run:
 //  * trace_export.h turns them into a Chrome/Perfetto trace_event JSON
 //    file (one process per rank, one track per stream plus host/comm/solver
 //    tracks), enabled by QUDA_SIM_TRACE=<path>;
-//  * metrics.h aggregates them into a MetricsRegistry (halo bytes, retries,
-//    overlap efficiency, per-kernel histograms) that the benches merge into
-//    their BENCH_<name>.json.
+//  * metrics.h folds each rank's events once into trace::Metrics (halo
+//    bytes, retries, overlap efficiency, per-kernel histograms) and the
+//    activity unions telemetry.h bucketizes into utilization timelines;
+//  * critpath.h rebuilds the happens-before graph for attribution.
 
 #include <cstdint>
 #include <string>
@@ -53,19 +54,24 @@ inline constexpr int kTrackSolver = -3; // solver-level phases
 struct Event {
   const char* name = "";  // static-lifetime label
   Cat cat = Cat::Op;
-  bool instant = false;   // true: point event (dur_us ignored, kept 0)
+  bool instant = false;   // true: point event (end_us == ts_us)
   int track = kTrackHost;
   double ts_us = 0;       // simulated begin time
-  double dur_us = 0;      // simulated duration (spans only, >= 0)
-  double end_us = 0;      // exact recorded end time (spans; == ts_us for
-                          // instants).  Kept alongside dur_us because
-                          // ts + (end - ts) is not bitwise end, and the
-                          // critical-path walk (critpath.h) needs the exact
-                          // doubles the gating max() computations produced.
+  double end_us = 0;      // exact recorded end (>= ts_us; == ts_us for
+                          // instants); the duration is end_us - ts_us.
+                          // Stored instead of a duration because ts +
+                          // (end - ts) is not bitwise end, and critpath.h
+                          // needs the exact doubles max() produced.
   std::int64_t bytes = 0; // modeled payload bytes (0 when not applicable)
   int peer = -1;          // peer rank for comm events
   int tag = -1;           // message tag for comm events
   std::int64_t seq = -1;  // message sequence / iteration number
+
+  // Link class the payload crossed (msg_flight events): the numeric value
+  // of sim::LinkClass (0 = shm, 1 = ib, 2 = cross-switch), -1 when not a
+  // wire event.  Excluded from sequence_digest: it is derived from cluster
+  // topology, not pipeline structure, so goldens survive topology sweeps.
+  int link = -1; // beside dep_rank: the two ints share one 8-byte slot
 
   // Happens-before edge of this event, when it has one (critpath.h walks
   // these).  dep_rank >= 0 names the rank whose activity gated this event
@@ -77,12 +83,6 @@ struct Event {
   int dep_rank = -1;
   double dep_ts_us = -1;
   double edge_us = 0;
-
-  // Link class the payload crossed (msg_flight events): the numeric value
-  // of sim::LinkClass (0 = shm, 1 = ib, 2 = cross-switch), -1 when not a
-  // wire event.  Excluded from sequence_digest: it is derived from cluster
-  // topology, not pipeline structure, so goldens survive topology sweeps.
-  int link = -1;
 };
 
 // Per-rank event sink.  Bound to the rank's clock so layers without clock
@@ -108,7 +108,6 @@ public:
     e.instant = false;
     e.track = track;
     e.ts_us = begin_us;
-    e.dur_us = end_us > begin_us ? end_us - begin_us : 0.0;
     e.end_us = end_us > begin_us ? end_us : begin_us;
     e.bytes = bytes;
     e.peer = peer;
@@ -153,7 +152,6 @@ public:
 
   const std::vector<Event>& events() const { return events_; }
   std::vector<Event> take_events() { return std::move(events_); }
-  void clear() { events_.clear(); }
 
 private:
   int rank_ = 0;
@@ -162,11 +160,12 @@ private:
   std::vector<Event> events_;
 };
 
-// thread-local tracer of the simulated rank running on this OS thread;
-// null when tracing is disabled (or off a rank thread entirely)
+// tracer of the rank fiber the event loop is running; null when tracing
+// is disabled (or outside a rank entirely)
 RankTracer* current();
 
-// RAII binding of current() for the lifetime of a rank thread's workload
+// RAII binding of current(); the seq scheduler binds the rank's tracer for
+// the span of each resume of its fiber
 class ScopedTracer {
 public:
   explicit ScopedTracer(RankTracer* tracer);

@@ -57,7 +57,7 @@ void append_event(std::string& out, int pid, const Event& e, bool& first) {
   if (e.instant) out += "\"s\": \"t\", ";
   out += "\"pid\": " + std::to_string(pid) + ", \"tid\": " +
          std::to_string(track_tid(e.track)) + ", \"ts\": " + num(e.ts_us);
-  if (!e.instant) out += ", \"dur\": " + num(e.dur_us);
+  if (!e.instant) out += ", \"dur\": " + num(e.end_us - e.ts_us);
   out += ", \"args\": {\"bytes\": " + std::to_string(e.bytes) +
          ", \"peer\": " + std::to_string(e.peer) + ", \"tag\": " + std::to_string(e.tag) +
          ", \"seq\": " + std::to_string(e.seq) + ", \"dep_rank\": " + std::to_string(e.dep_rank) +

@@ -9,6 +9,7 @@
 
 #include "parallel/modeled_solver.h"
 #include "trace/metrics.h"
+#include "trace/telemetry.h"
 #include "trace/trace.h"
 #include "trace/trace_export.h"
 
@@ -116,7 +117,7 @@ double intersection_length(const std::vector<Interval>& a, const std::vector<Int
 std::vector<Interval> spans_on(const std::vector<Event>& events, int track) {
   std::vector<Interval> out;
   for (const Event& e : events)
-    if (!e.instant && e.track == track) out.emplace_back(e.ts_us, e.ts_us + e.dur_us);
+    if (!e.instant && e.track == track) out.emplace_back(e.ts_us, e.end_us);
   return out;
 }
 
@@ -124,7 +125,7 @@ std::vector<Interval> spans_named(const std::vector<Event>& events, int track, c
   std::vector<Interval> out;
   for (const Event& e : events)
     if (!e.instant && e.track == track && std::strcmp(e.name, name) == 0)
-      out.emplace_back(e.ts_us, e.ts_us + e.dur_us);
+      out.emplace_back(e.ts_us, e.end_us);
   return out;
 }
 
@@ -173,8 +174,8 @@ TEST(TraceSchema, TwoRankOverlapRunIsWellFormed) {
       EXPECT_NE(trace::cat_name(e.cat)[0], '\0');
       EXPECT_TRUE(tracks.count(e.track)) << e.name << " on unknown track " << e.track;
       EXPECT_GE(e.ts_us, 0.0) << e.name;
-      EXPECT_GE(e.dur_us, 0.0) << e.name;
-      if (e.instant) { EXPECT_EQ(e.dur_us, 0.0) << e.name; }
+      EXPECT_GE(e.end_us, e.ts_us) << e.name;
+      if (e.instant) { EXPECT_EQ(e.end_us, e.ts_us) << e.name; }
       if (e.cat == trace::Cat::Collective) ++collectives;
     }
   }
@@ -262,7 +263,7 @@ Event make_span(const char* name, trace::Cat cat, int track, double b, double e,
   ev.instant = false;
   ev.track = track;
   ev.ts_us = b;
-  ev.dur_us = e - b;
+  ev.end_us = e;
   ev.bytes = bytes;
   ev.peer = peer;
   ev.tag = tag;
@@ -282,7 +283,7 @@ TEST(TraceDigest, TimestampsDoNotAffectTheDigest) {
                                 make_instant("isend", trace::Cat::Comm, -1, 15, 512, 1, 7, 3)};
   std::vector<Event> b = a;
   b[0].ts_us = 1000;
-  b[0].dur_us = 99;
+  b[0].end_us = 1099;
   b[1].ts_us = 2000;
   EXPECT_EQ(trace::sequence_digest(a), trace::sequence_digest(b));
 }
@@ -396,6 +397,156 @@ TEST(TraceMetrics, ZeroIterationSolveStaysFinite) {
   EXPECT_GE(m.comm_us, 0.0);
   for (const auto& [name, stat] : m.kernels)
     EXPECT_TRUE(std::isfinite(stat.mean_us())) << name;
+}
+
+// --- the one fold: metrics and telemetry from the same pass -------------------
+
+TEST(TraceEvent, EventIsEightyBytes) {
+  // no stored duration (end_us - ts_us is it), link packed beside dep_rank
+  EXPECT_EQ(sizeof(Event), 80u);
+}
+
+void expect_same_metrics(const trace::Metrics& a, const trace::Metrics& b) {
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.halo_bytes, b.halo_bytes);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.checksum_errors, b.checksum_errors);
+  EXPECT_EQ(a.shm_bytes, b.shm_bytes);
+  EXPECT_EQ(a.ib_bytes, b.ib_bytes);
+  EXPECT_EQ(a.xswitch_bytes, b.xswitch_bytes);
+  EXPECT_EQ(a.comm_us, b.comm_us);
+  EXPECT_EQ(a.overlapped_us, b.overlapped_us);
+  EXPECT_EQ(a.overlap_efficiency, b.overlap_efficiency);
+  EXPECT_EQ(a.kernel_us, b.kernel_us);
+  ASSERT_EQ(a.kernels.size(), b.kernels.size());
+  for (const auto& [name, stat] : a.kernels) {
+    ASSERT_TRUE(b.kernels.count(name)) << name;
+    const trace::KernelStat& other = b.kernels.at(name);
+    EXPECT_EQ(stat.count, other.count) << name;
+    EXPECT_EQ(stat.total_us, other.total_us) << name;
+    EXPECT_EQ(stat.min_us, other.min_us) << name;
+    EXPECT_EQ(stat.max_us, other.max_us) << name;
+  }
+}
+
+Event make_flight(int link, std::int64_t bytes, double b, double e) {
+  Event ev = make_span("msg_flight", trace::Cat::Comm, trace::kTrackComm, b, e, bytes, 1);
+  ev.link = link;
+  return ev;
+}
+
+TEST(TraceFold, MetricsAndTelemetryShareOneFold) {
+  // a halo window whose recorded end is not ts + (end - ts): the unions
+  // must be built from the exact end_us, never from a re-added duration
+  const double odd_ts = 0.17096660508569173;
+  const double odd_end = 47.68472404154577;
+  ASSERT_GT(odd_ts + (odd_end - odd_ts), odd_end);
+
+  trace::TraceReport rep;
+  rep.enabled = true;
+  rep.per_rank.resize(2);
+  auto& r0 = rep.per_rank[0];
+  r0.push_back(make_span("dslash", trace::Cat::Kernel, 0, 0, 30));
+  r0.push_back(make_span("dslash", trace::Cat::Kernel, 1, 20, 40));
+  r0.push_back(make_span("halo_comm", trace::Cat::Comm, trace::kTrackComm, 30, 60));
+  r0.push_back(make_span("h2d", trace::Cat::Copy, trace::kTrackHost, 60, 70, 1 << 20));
+  r0.push_back(make_span("checkpoint", trace::Cat::Fault, trace::kTrackHost, 75, 85));
+  r0.push_back(make_span("rollback", trace::Cat::Fault, trace::kTrackHost, 85, 95));
+  r0.push_back(make_flight(0, 1000, 0, 1));
+  r0.push_back(make_flight(1, 2000, 0, 2));
+  r0.push_back(make_flight(2, 3000, 0, 4));
+  r0.push_back(make_flight(-1, 999, 0, 8)); // untagged: no link class
+  r0.push_back(make_instant("isend", trace::Cat::Comm, trace::kTrackHost, 1, 4096, 1, 0, 0));
+  r0.push_back(make_instant("retry", trace::Cat::Fault, trace::kTrackHost, 2, 4096, 1, 0, 0));
+  r0.push_back(make_instant("checksum_error", trace::Cat::Fault, trace::kTrackHost, 3));
+  auto& r1 = rep.per_rank[1];
+  r1.push_back(make_span("halo_comm", trace::Cat::Comm, trace::kTrackComm, odd_ts, odd_end));
+  r1.push_back(make_span("dslash", trace::Cat::Kernel, 0, odd_end, odd_end + 1.0));
+
+  const trace::TraceFold fold = trace::fold(rep);
+  ASSERT_EQ(fold.ranks.size(), 2u);
+  const trace::Metrics& m = fold.tally.metrics;
+  expect_same_metrics(m, trace::compute_metrics(rep));
+  EXPECT_EQ(m.events, 15);
+  EXPECT_EQ(m.messages, 1);
+  EXPECT_EQ(m.halo_bytes, 4096);
+  EXPECT_EQ(m.retries, 1);
+  EXPECT_EQ(m.checksum_errors, 1);
+  EXPECT_EQ(m.shm_bytes, 1000);
+  EXPECT_EQ(m.ib_bytes, 2000);
+  EXPECT_EQ(m.xswitch_bytes, 3000);
+  // rank 0: union [30,60) against kernels [0,40) -> 10us hidden; rank 1's
+  // window ends exactly where its kernel starts -> nothing hidden
+  EXPECT_EQ(m.comm_us, 30.0 + (odd_end - odd_ts));
+  EXPECT_EQ(m.overlapped_us, 10.0);
+  EXPECT_EQ(m.overlap_efficiency, 10.0 / m.comm_us);
+  EXPECT_EQ(m.kernel_us, 50.0 + ((odd_end + 1.0) - odd_end));
+  ASSERT_TRUE(m.kernels.count("dslash"));
+  EXPECT_EQ(m.kernels.at("dslash").count, 3);
+  EXPECT_EQ(m.kernels.at("dslash").max_us, 30.0);
+
+  // rank 0's activity unions, one list per category
+  const trace::Activity& a = fold.ranks[0];
+  EXPECT_EQ(a.kernel, (trace::Intervals{{0, 40}}));
+  EXPECT_EQ(a.halo_comm, (trace::Intervals{{30, 60}}));
+  EXPECT_EQ(a.pcie, (trace::Intervals{{60, 70}}));
+  EXPECT_EQ(a.stall, (trace::Intervals{{75, 85}}));
+  EXPECT_EQ(a.recovery, (trace::Intervals{{85, 95}}));
+  EXPECT_EQ(fold.ranks[1].halo_comm, (trace::Intervals{{odd_ts, odd_end}}));
+
+  // telemetry bucketizes the same fold: 4 buckets of 25us over makespan 100
+  const telemetry::RankRecorder idle[2];
+  telemetry::AnalysisConfig cfg;
+  cfg.buckets = 4;
+  const telemetry::TelemetryReport t =
+      telemetry::build_report({&idle[0], &idle[1]}, fold, 100.0, cfg);
+  ASSERT_EQ(t.timelines.size(), 2u);
+  EXPECT_DOUBLE_EQ(t.bucket_us, 25.0);
+  const telemetry::RankTimeline& tl = t.timelines[0];
+  const std::vector<double> busy = {1.0, 0.6, 0.0, 0.0};
+  const std::vector<double> exposed = {0.0, 0.4, 0.4, 0.0};
+  const std::vector<double> pcie = {0.0, 0.0, 0.4, 0.0};
+  const std::vector<double> tail = {0.0, 0.0, 0.0, 0.4};
+  for (int b = 0; b < 4; ++b) {
+    EXPECT_DOUBLE_EQ(tl.busy[b], busy[b]) << b;
+    EXPECT_DOUBLE_EQ(tl.exposed_comm[b], exposed[b]) << b;
+    EXPECT_DOUBLE_EQ(tl.pcie[b], pcie[b]) << b;
+    EXPECT_DOUBLE_EQ(tl.stall[b], tail[b]) << b;    // checkpoint: a stall
+    EXPECT_DOUBLE_EQ(tl.recovery[b], tail[b]) << b; // rollback: recovery
+  }
+  // rank 1's whole halo window is exposed
+  const auto& exposed1 = t.timelines[1].exposed_comm;
+  EXPECT_NEAR((exposed1[0] + exposed1[1]) * t.bucket_us, odd_end - odd_ts, 1e-12);
+
+  // achieved wire bandwidth per link class: bytes / flight us * 1e-3 GB/s
+  const auto& g = t.registry.gauges();
+  EXPECT_DOUBLE_EQ(g.at("achieved_shm_gbs"), 1.0);
+  EXPECT_DOUBLE_EQ(g.at("achieved_ib_gbs"), 1.0);
+  EXPECT_DOUBLE_EQ(g.at("achieved_xswitch_gbs"), 0.75);
+  EXPECT_DOUBLE_EQ(g.at("peak_shm_gbs"), cfg.shm_peak_gbs);
+  EXPECT_DOUBLE_EQ(g.at("peak_xswitch_gbs"), cfg.ib_peak_gbs);
+  // busy time 40us vs ~1us: imbalance 40 / 20.5 fires the post-hoc monitor
+  EXPECT_DOUBLE_EQ(g.at("busy_frac.max"), 0.4);
+  EXPECT_DOUBLE_EQ(t.load_imbalance, 40.0 / ((40.0 + ((odd_end + 1.0) - odd_end)) / 2));
+  ASSERT_EQ(t.anomaly_count(), 1);
+  EXPECT_EQ(t.anomalies[0].kind, telemetry::AnomalyKind::UtilizationImbalance);
+  EXPECT_EQ(t.anomalies[0].rank, 0);
+}
+
+TEST(TraceFold, ClusterPublishesTheMetricsOfItsTrace) {
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(4);
+  spec.trace.enabled = true;
+  spec.telemetry.enabled = true;
+  sim::VirtualCluster cluster(spec);
+  const ModeledSolverResult r =
+      parallel::run_modeled_solver(cluster, small_config(CommPolicy::Overlap));
+  ASSERT_TRUE(r.traced);
+  ASSERT_TRUE(cluster.telemetry().enabled);
+  ASSERT_FALSE(cluster.metrics().kernels.empty());
+  const trace::Metrics walked = trace::compute_metrics(cluster.trace());
+  expect_same_metrics(cluster.metrics(), walked);
+  expect_same_metrics(r.metrics, walked);
 }
 
 // --- properties across seeds and policies ------------------------------------
