@@ -16,7 +16,7 @@
 
 #include "bench_util.h"
 #include "gpusim/device.h"
-#include "trace/attribution.h"
+#include "trace/critpath.h"
 
 #include <cstdio>
 

@@ -19,7 +19,7 @@
 #include "parallel/policy.h"
 #include "sim/cluster_spec.h"
 #include "solvers/solver.h"
-#include "trace/attribution.h"
+#include "trace/critpath.h"
 #include "trace/metrics.h"
 #include "trace/telemetry.h"
 

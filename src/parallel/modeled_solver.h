@@ -15,7 +15,7 @@
 #include "parallel/halo_dslash.h"
 #include "perfmodel/footprint.h"
 #include "sim/event_sim.h"
-#include "trace/attribution.h"
+#include "trace/critpath.h"
 #include "trace/metrics.h"
 #include "trace/telemetry.h"
 

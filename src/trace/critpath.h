@@ -1,37 +1,26 @@
 #pragma once
-// Critical-path extraction over the recorded event DAG of one run.
+// Critical-path attribution of one traced run.
 //
 // The tracer records, next to every event, the happens-before edge that
 // gated it (Event::dep_*): mpi_wait carries the sender and send time,
 // allreduce the rendezvous-gating rank, copies and kernels their host
-// issue anchor, stream_wait the waitee's ready value.  From those records
-// build_model() reconstructs each rank's *program*: an ordered list of
-// host steps (sends, receives, waits, collectives, copies, kernel issues,
-// syncs, and the local host advances between them) plus the device-op
-// timeline per stream/copy-engine, with every op's gating predecessor
-// resolved by replaying the device-state max() computations on the exact
-// recorded doubles -- so resolution is bitwise, not heuristic.
+// issue anchor, stream_wait the waitee's ready value.  analyze_solve()
+// rebuilds each rank's program from those records, then
+//  * walks the DAG backward from the makespan-defining rank's completion
+//    to time zero and folds the path into the paper's cost vocabulary --
+//    interior vs boundary compute, exposed communication, PCIe occupancy,
+//    stalls, solver-serial host time, recovery.  The walk uses only
+//    recorded doubles, so path length == end-to-end simulated time bitwise;
+//  * replays the program forward once, with four sets of edge weights side
+//    by side: unedited, zero-latency network, free PCIe, infinite overlap.
 //
-// Two consumers:
-//  * critical_path() walks the DAG *backward* from the makespan-defining
-//    rank's completion to time zero, hopping ranks at message and
-//    rendezvous edges and descending device chains at blocking syncs.  The
-//    walk uses only recorded times, so the returned segments tile
-//    [0, makespan] exactly: path length == end-to-end simulated time.
-//  * replay() re-executes the extracted program *forward* with edited edge
-//    weights (WhatIf) -- zero-latency network, free PCIe, infinite overlap
-//    -- projecting what the same schedule would have cost on different
-//    hardware.  Max-plus monotonicity guarantees a projection with reduced
-//    weights never exceeds the measured makespan.
-//
-// attribution.h maps the walk's segments onto the paper's cost categories
-// and bundles the whole analysis into one CritSummary.
+// DESIGN.md §8 describes the model, the walk and the replay.
 
 #include "trace/trace.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace quda::trace {
 
@@ -40,147 +29,49 @@ struct ModelConfig {
   bool dual_copy_engine = false; // GT200: one engine; Fermi: one per direction
 };
 
-// one device-side operation (kernel execution or PCIe transfer)
-// reconstructed from a stream/host copy span
-struct DeviceOp {
-  bool is_kernel = false;
-  const char* name = "";
-  int stream = -1;       // -1: sync copy (engine only)
-  int engine = -1;       // copies only
-  double issue_us = 0;   // host clock at issue (the recorded dep anchor)
-  double gate_us = 0;    // max(issue, gating resource): start of launch gap
-  double start_us = 0;   // execution begin
-  double end_us = 0;     // execution end (exact recorded double)
-  int pred_op = -1;      // device op whose end gated this one; -1 = host
-  int issue_step = -1;   // index of the issuing Step in the rank program
+// attribution categories for critical-path time
+enum class PathCat : std::uint8_t {
+  Interior,     // interior/local compute (dslash interior, BLAS)
+  Boundary,     // boundary compute after the halo arrives
+  ExposedComm,  // network flight, blocked waits, collectives, framing overhead
+  Pcie,         // PCIe bus occupancy on the path
+  StallSync,    // launch overheads, issue gaps, unresolved sync stalls
+  SolverSerial, // host-serial solver logic between operations
+  Recovery,     // checkpoint writes and rank-failure rollback/restore/respawn
 };
+inline constexpr int kNumPathCats = 7;
 
-enum class StepKind : std::uint8_t {
-  Advance,    // local host time between anchors (classified by container)
-  Isend,      // message posted (anchor only; overhead lands in a gap)
-  Irecv,      // receive posted (anchor; supplies the wait's post time)
-  Wait,       // host blocks for a matched message
-  Collective, // allreduce rendezvous
-  SyncCopy,   // host-blocking PCIe transfer
-  AsyncCopy,  // async transfer issue (DeviceOp runs on stream + engine)
-  Kernel,     // kernel issue (DeviceOp runs on the stream)
-  StreamSync, // host blocks on one stream
-  DeviceSync, // host blocks on all streams + engines
-  StreamWait, // cross-stream ordering edge (no host cost)
-};
+const char* path_cat_name(PathCat cat);
 
-// container classifying a host Advance gap (innermost enclosing span)
-enum class GapKind : std::uint8_t {
-  Solver,       // solver-serial host work (default)
-  CommOverhead, // inside send_frame / recv_frame: framing, checksums, MPI calls
-  DeviceIssue,  // inside halo_dslash / gauge_exchange: issue + launch overheads
-  Recovery,     // inside checkpoint/rollback/restore/detect/respawn/resume spans
-};
-
-struct Step {
-  StepKind kind = StepKind::Advance;
-  GapKind gap = GapKind::Solver; // Advance only
-  double begin_us = 0;           // arrival anchor (host clock reaching the step)
-  double end_us = 0;             // post anchor (host clock after the step)
-  // Isend / Irecv / Wait
-  int peer = -1, tag = -1;
-  bool dropped = false;      // Isend: fault tombstone, never delivered
-  double send_ts_us = 0;     // Wait: matched send time (recorded edge)
-  double path_us = 0;        // Wait: network flight time (recorded edge)
-  double post_ts_us = 0;     // Wait: matched irecv post time
-  double tail_us = 0;        // Wait: post-arrival local cost (MPI overhead)
-  int match_rank = -1;       // Wait: sender rank
-  int match_step = -1;       // Wait: sender's Isend step index
-  int irecv_step = -1;       // Wait: this rank's matching Irecv step index
-  // Collective
-  int gate_rank = -1;        // rendezvous-gating rank (recorded edge)
-  double gate_ts_us = 0;     // its arrival time
-  double tree_us = 0;        // tree-reduction cost on top of the gate
-  int coll_index = -1;       // k-th collective of this rank
-  // device
-  int op = -1;               // SyncCopy/AsyncCopy/Kernel: DeviceOp index
-  int stream = -1;           // StreamSync target / StreamWait waiter
-  int waitee = -1;           // StreamWait source stream
-  int pred_op = -1;          // StreamSync/DeviceSync: gating op (-1 = none)
-};
-
-struct RankProgram {
-  std::vector<Step> steps;
-  std::vector<DeviceOp> ops;
-  int num_streams = 0;
-  double end_us = 0; // final host anchor == the rank's final simulated clock
-};
-
-struct ProgramModel {
-  std::vector<RankProgram> ranks;
-  std::vector<std::vector<int>> collective_steps; // [rank][k] -> step index
-  std::size_t num_collectives = 0;
-  int num_engines = 1;
-  std::string error; // non-empty: the trace could not be modeled
-  bool ok() const { return error.empty(); }
-};
-
-ProgramModel build_model(const TraceReport& report, const ModelConfig& config = {});
-
-// typed critical-path segment kinds (attribution.h maps them to categories)
-enum class SegKind : std::uint8_t {
-  HostGap,        // local host advance (GapKind says inside what)
-  MsgFlight,      // network flight of the gating message
-  CommTail,       // post-arrival local cost of a blocking wait
-  CollectiveTree, // rendezvous wait + tree steps of an allreduce
-  KernelExec,     // kernel execution (label = kernel name)
-  LaunchGap,      // kernel-launch overhead on the gating device chain
-  CopyExec,       // PCIe bus occupancy (label = memcpy name)
-  SyncStall,      // blocked sync whose device chain could not be resolved
-};
-
-struct PathSegment {
-  int rank = -1;
-  SegKind kind = SegKind::HostGap;
-  GapKind gap = GapKind::Solver; // HostGap only
-  const char* label = "";
-  double begin_us = 0;
-  double end_us = 0;
-  double length_us() const { return end_us - begin_us; }
-};
-
-struct CriticalPath {
-  bool ok = false;
+struct CritSummary {
+  bool valid = false; // model built, walk closed at t == 0, replay succeeded
   std::string error;
-  int critical_rank = -1;     // rank whose completion defines the makespan
-  double makespan_us = 0;     // max over ranks of the final host anchor
-  double path_us = 0;         // == makespan_us when the walk closed at t = 0
-  double walk_end_us = 0;     // residual time at walk exhaustion (0 = exact)
-  long cross_rank_jumps = 0;  // rank hops via message / rendezvous edges
-  std::vector<PathSegment> segments; // in walk order (reverse chronological)
+  double makespan_us = 0;          // end-to-end simulated time of the run
+  double path_us = 0;              // critical-path length (== makespan when valid)
+  double cat_us[kNumPathCats] = {};
+  int critical_rank = -1;
+  long cross_rank_jumps = 0;
+  std::size_t segments = 0;
+  double compute_bound_us = 0;       // per-stream kernel-time lower bound
+  double replay_identity_us = 0;     // forward replay, unedited weights
+  double whatif_zero_latency_us = 0; // message flight and collective trees free
+  double whatif_free_pcie_us = 0;    // PCIe transfers free
+  double whatif_infinite_overlap_us = 0;
+
+  double interior_us() const { return cat_us[static_cast<int>(PathCat::Interior)]; }
+  double boundary_us() const { return cat_us[static_cast<int>(PathCat::Boundary)]; }
+  double exposed_comm_us() const { return cat_us[static_cast<int>(PathCat::ExposedComm)]; }
+  double pcie_us() const { return cat_us[static_cast<int>(PathCat::Pcie)]; }
+  double stall_us() const { return cat_us[static_cast<int>(PathCat::StallSync)]; }
+  double solver_us() const { return cat_us[static_cast<int>(PathCat::SolverSerial)]; }
+  double recovery_us() const { return cat_us[static_cast<int>(PathCat::Recovery)]; }
 };
 
-CriticalPath critical_path(const ProgramModel& model);
+// full analysis of one traced run: build the program model, walk the
+// critical path, attribute it, and run the standard what-if projections
+CritSummary analyze_solve(const TraceReport& report, const ModelConfig& config = {});
 
-// edge-weight edits for what-if projections (all reductions: monotone)
-struct WhatIf {
-  double net_scale = 1.0;    // message flight + collective tree factor
-  double pcie_scale = 1.0;   // PCIe transfer duration factor
-  double kernel_scale = 1.0; // kernel execution duration factor
-  // host never blocks on comm or device completion (waits cost only their
-  // local tail; stream/device syncs are free).  Collectives keep their
-  // rendezvous semantics: a reduction is a data dependency, not comm that
-  // overlap could hide.
-  bool infinite_overlap = false;
-};
-
-struct ReplayResult {
-  bool ok = false;
-  std::string error;
-  double makespan_us = 0;
-  std::vector<double> rank_end_us;
-};
-
-ReplayResult replay(const ProgramModel& model, const WhatIf& whatif = {});
-
-// max over ranks of (max over streams of total kernel execution time): a
-// lower bound on any replay that keeps kernel durations (stream ready
-// values grow by at least each kernel's duration)
-double compute_bound_us(const ProgramModel& model);
+// human-readable attribution table (README shows a sample)
+std::string attribution_table(const CritSummary& summary);
 
 } // namespace quda::trace

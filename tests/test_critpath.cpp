@@ -1,22 +1,29 @@
-// Critical-path analyzer tests (src/trace/critpath, src/trace/attribution).
+// Critical-path analyzer tests (src/trace/critpath), through its public
+// surface: analyze_solve(), CritSummary and attribution_table().
 //
 // The analyzer's contract is exactness, so the tests assert bitwise and
 // near-machine-precision identities, not tolerances-of-convenience:
 //   * the backward walk's path length equals the end-to-end simulated time
 //     EXACTLY (the walk uses only recorded doubles and recomputes every
 //     cross-rank arrival with the same expression the simulator used);
-//   * the typed segments tile [0, makespan], so the attribution categories
-//     sum to the path length;
-//   * the forward replay with unedited weights reproduces the makespan, and
-//     every monotone what-if projection is bracketed by the compute bound
-//     below and the measured time above;
+//   * the segments tile [0, makespan], so the attribution categories sum
+//     to the path length;
+//   * the identity lane of the forward replay reproduces the makespan, and
+//     every monotone what-if lane is bracketed by the compute bound below
+//     and the measured time above;
 //   * the paper's qualitative structure shows up in the attribution:
-//     NoOverlap exposes far more communication than Overlap at fig5 sizes.
+//     NoOverlap exposes far more communication than Overlap at fig5 sizes;
+//   * golden pins hold every CritSummary field bitwise for five runs
+//     (fig5 Overlap/NoOverlap, drop+corrupt faults, crash with
+//     checkpoint/restart, Real-mode invert), so a change to the model's
+//     storage, the walk or the replay cannot move a last bit unnoticed;
+//   * hand-built traces that break the model's invariants (a send edge
+//     naming no isend, unequal collective counts, a sync ending at no
+//     device op) come back invalid with a reason.
 
 #include "core/quda_api.h"
 #include "dirac/gauge_init.h"
 #include "parallel/modeled_solver.h"
-#include "trace/attribution.h"
 #include "trace/critpath.h"
 
 #include <gtest/gtest.h>
@@ -269,6 +276,20 @@ TEST(CritPathDegenerate, StreamSyncEndMatchingNoDeviceOp) {
   // the host blocks on stream 0 until t = 4, but nothing ever ran there
   trace::Event sync = host_event("stream_sync", trace::Cat::Sync, false, 1, 4, -1, 0);
   expect_model_error(report_of({{sync}}));
+  // a sync that names no stream at all
+  sync.tag = -1;
+  expect_model_error(report_of({{sync}}));
+}
+
+TEST(CritPathDegenerate, ZeroWidthSyncOnAnIdleStreamIsValid) {
+  // a sync on a stream that never ran anything returns at once; the replay
+  // must still have a clock for that stream
+  trace::Event sync = host_event("stream_sync", trace::Cat::Sync, false, 2, 2, -1, 3);
+  const trace::CritSummary c = trace::analyze_solve(report_of({{sync}}));
+  ASSERT_TRUE(c.valid) << c.error;
+  EXPECT_EQ(c.path_us, 2.0);
+  EXPECT_EQ(c.solver_us(), 2.0);
+  EXPECT_EQ(c.replay_identity_us, 2.0);
 }
 
 TEST(CritPathDegenerate, AttributionTableNamesEveryCategory) {
