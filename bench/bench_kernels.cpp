@@ -124,7 +124,7 @@ template <typename P> void BM_FacePack(benchmark::State& state) {
   const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd);
   FaceBuffer<P> buf;
   for (auto _ : state) {
-    pack_face(in, d.g, Parity::Odd, d.g.dims().t - 1, +1, buf);
+    pack_face(in, d.g, Parity::Odd, 3, d.g.dims().t - 1, +1, buf);
     benchmark::DoNotOptimize(buf.data.data());
   }
   state.SetItemsProcessed(state.iterations() * d.g.half_spatial_volume());

@@ -4,10 +4,11 @@
 // over MPI providing logical lattice topologies and the handful of
 // primitives an LQCD code needs.
 //
-// The paper's production configuration is a 1-D logical topology over the
-// time direction; the multi-dimensional decomposition it lists as future
-// work uses a full 4-D torus, which QmpGrid supports (rank coordinates run
-// x fastest, mirroring QMP_declare_logical_topology).
+// Every run lays its ranks out on a 4-D torus (QmpGrid; rank coordinates
+// run x fastest, mirroring QMP_declare_logical_topology).  The paper's
+// production decomposition, which slices only time, is the {1,1,1,N} grid
+// (GridTopology::time_only); the multi-dimensional decomposition it lists
+// as future work is any other factorization of the rank count.
 //
 // Reliability: every grid message is framed with a 16-byte header carrying
 // a per-(peer, tag) sequence number and (optionally) an FNV-1a checksum of
@@ -31,12 +32,20 @@
 
 namespace quda::comm {
 
-enum class Direction : int { Backward = 0, Forward = 1 };
-
 struct GridTopology {
   std::array<int, 4> dims{1, 1, 1, 1}; // ranks per dimension
 
   static GridTopology time_only(int ranks) { return {{1, 1, 1, ranks}}; }
+
+  // the grid a run uses on `ranks` ranks: all ones means the paper's 1-D
+  // time slicing sized to the rank count; any other grid must match it
+  static GridTopology resolve(const std::array<int, 4>& dims, int ranks) {
+    const GridTopology topo =
+        dims == std::array<int, 4>{1, 1, 1, 1} ? time_only(ranks) : GridTopology{dims};
+    if (topo.num_ranks() != ranks)
+      throw std::invalid_argument("rank grid does not match the cluster size");
+    return topo;
+  }
 
   int num_ranks() const { return dims[0] * dims[1] * dims[2] * dims[3]; }
 
@@ -65,11 +74,6 @@ struct GridTopology {
 
 class QmpGrid {
 public:
-  // the paper's 1-D ring over time
-  explicit QmpGrid(sim::RankContext& ctx)
-      : ctx_(ctx), topo_(GridTopology::time_only(ctx.size())) {}
-
-  // general 4-D torus
   QmpGrid(sim::RankContext& ctx, const GridTopology& topo) : ctx_(ctx), topo_(topo) {
     if (topo.num_ranks() != ctx.size())
       throw std::invalid_argument("grid topology does not match the cluster size");
@@ -88,9 +92,6 @@ public:
     return topo_.rank_of(c);
   }
 
-  // 1-D temporal wrappers
-  int neighbor(Direction d) const { return neighbor(3, d == Direction::Forward ? +1 : -1); }
-
   // does this rank own a global edge of dimension mu (where the fermion BC
   // phase applies -- the "extra constants" of Section VI-B)?
   bool owns_global_edge(int mu, int dir) const {
@@ -98,8 +99,6 @@ public:
     return dir > 0 ? c[static_cast<std::size_t>(mu)] == topo_.dims[static_cast<std::size_t>(mu)] - 1
                    : c[static_cast<std::size_t>(mu)] == 0;
   }
-  bool owns_global_backward_edge() const { return owns_global_edge(3, -1); }
-  bool owns_global_forward_edge() const { return owns_global_edge(3, +1); }
 
   // --- reliability policy ------------------------------------------------------
 
@@ -115,16 +114,9 @@ public:
                std::int64_t modeled_bytes) {
     send_reliable(neighbor(mu, dir), tag, std::move(payload), modeled_bytes);
   }
-  void send_to(Direction d, int tag, std::vector<std::byte> payload,
-               std::int64_t modeled_bytes) {
-    send_to(3, d == Direction::Forward ? +1 : -1, tag, std::move(payload), modeled_bytes);
-  }
 
   sim::RankContext::PendingRecv post_receive(int mu, int dir, int tag) {
     return ctx_.irecv(neighbor(mu, dir), tag);
-  }
-  sim::RankContext::PendingRecv post_receive(Direction from, int tag) {
-    return post_receive(3, from == Direction::Forward ? +1 : -1, tag);
   }
 
   // Completes the receive: unframes, verifies (when checksums are enabled),

@@ -66,10 +66,10 @@ struct InvertParams {
   // reals -- mirroring the precision rule.
   Reconstruct reconstruct = Reconstruct::Twelve;
   std::optional<Reconstruct> reconstruct_sloppy{};
-  // rank grid over (x, y, z, t).  All ones = the paper's 1-D slicing of the
-  // time dimension sized to the cluster; anything else selects the
-  // multi-dimensional decomposition (the paper's future work) and must
-  // multiply to the cluster's rank count.
+  // rank grid over (x, y, z, t), resolved by GridTopology::resolve.  All
+  // ones = the paper's 1-D slicing of the time dimension sized to the
+  // cluster; anything else selects the multi-dimensional decomposition (the
+  // paper's future work) and must multiply to the cluster's rank count.
   std::array<int, 4> grid{1, 1, 1, 1};
 
   // fault tolerance: message framing/retry policy of the comm layer, and

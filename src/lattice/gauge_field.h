@@ -52,13 +52,7 @@ public:
 
   GaugeField() = default;
 
-  // time-partitioned layout: every slab padded by one temporal face
-  GaugeField(std::int64_t sites, std::int64_t face_sites, Reconstruct recon) {
-    std::array<std::int64_t, 4> pads{face_sites, face_sites, face_sites, face_sites};
-    init(sites, pads, recon);
-  }
-
-  // general layout: slab mu padded by the face perpendicular to mu, so any
+  // slab mu padded by the face perpendicular to mu, so any
   // dimension can host a gauge ghost
   GaugeField(const Geometry& geom, Reconstruct recon) {
     std::array<std::int64_t, 4> pads;
@@ -67,11 +61,6 @@ public:
   }
 
   Reconstruct reconstruct() const { return recon_; }
-  const BlockLayout& layout(int mu = 3) const {
-    return layouts_[static_cast<std::size_t>(mu)];
-  }
-  // temporal face (backward-compatible accessor)
-  std::int64_t face_sites() const { return layouts_[3].pad; }
   std::int64_t ghost_capacity(int mu) const { return layouts_[static_cast<std::size_t>(mu)].pad; }
 
   std::int64_t device_bytes() const { return std::int64_t(data_.size()) * sizeof(store_t); }
@@ -96,14 +85,6 @@ public:
   void store_ghost(int mu, Parity parity, std::int64_t face_site, const SU3<double>& u) {
     assert(face_site >= 0 && face_site < ghost_capacity(mu));
     store_at(mu, slab_base(mu, parity), layouts_[static_cast<std::size_t>(mu)].sites + face_site, u);
-  }
-
-  // temporal wrappers (the paper's 1-D decomposition)
-  SU3<real_t> load_ghost(Parity parity, std::int64_t face_site) const {
-    return load_ghost(3, parity, face_site);
-  }
-  void store_ghost(Parity parity, std::int64_t face_site, const SU3<double>& u) {
-    store_ghost(3, parity, face_site, u);
   }
 
   const std::vector<store_t>& raw_data() const { return data_; }

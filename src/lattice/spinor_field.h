@@ -55,6 +55,8 @@ public:
     allocate();
   }
 
+  // the {1,1,1,N} grid's shape (temporal end zone only); code running on
+  // a rank grid passes that grid's partition mask instead
   explicit SpinorField(const Geometry& geom)
       : SpinorField(geom, kPartitionTimeOnly) {}
 
@@ -78,8 +80,6 @@ public:
   std::int64_t sites() const { return layout_.sites; }
   const BlockLayout& layout() const { return layout_; }
 
-  // temporal face (backward-compatible accessor used by the 1-D paths)
-  std::int64_t face_sites() const { return ghost_sites_[3]; }
   std::int64_t ghost_sites(int mu) const { return ghost_sites_[static_cast<std::size_t>(mu)]; }
 
   std::int64_t ghost_reals() const {
@@ -179,15 +179,6 @@ public:
         set_raw(base + n + 1, h.s[spin][c].im * inv);
         n += 2;
       }
-  }
-
-  // temporal-face convenience wrappers (the paper's 1-D decomposition)
-  HalfSpinor<real_t> load_ghost(GhostFace face, std::int64_t fs) const {
-    return load_ghost(3, face, fs);
-  }
-  void store_ghost(GhostFace face, std::int64_t fs, const HalfSpinor<real_t>& h,
-                   float norm = 1.0f) {
-    store_ghost(3, face, fs, h, norm);
   }
 
   float ghost_norm(int mu, GhostFace face, std::int64_t fs) const {

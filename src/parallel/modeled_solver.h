@@ -25,7 +25,8 @@ namespace quda::parallel {
 
 struct ModeledSolverConfig {
   LatticeDims local{};                       // per-rank lattice
-  // rank grid; empty dims (all 1) means the paper's 1-D ring over time
+  // rank grid, resolved by GridTopology::resolve: all ones means the
+  // paper's 1-D ring over time; any other grid must match the rank count
   comm::GridTopology topology{};
   Precision outer = Precision::Single;       // high/outer precision
   std::optional<Precision> sloppy{};         // set => mixed precision

@@ -72,7 +72,6 @@ RecoveryEpoch RankContext::recovery_rendezvous() {
     out.detect_us = detect;
     out.resume_us = std::max(rec.max_arrival, detect);
     out.deaths = std::move(cluster_.deaths_);
-    cluster_.deaths_.clear();
     std::sort(out.deaths.begin(), out.deaths.end(),
               [](const DeathRecord& a, const DeathRecord& b) {
                 return a.rank != b.rank ? a.rank < b.rank : a.time_us < b.time_us;
@@ -80,16 +79,7 @@ RecoveryEpoch RankContext::recovery_rendezvous() {
     // cluster-wide epoch reset: in-flight messages and partial reductions
     // from the aborted attempt vanish; every rank restarts from the same
     // committed checkpoint with fresh transport state
-    cluster_.channels_.clear();
-    auto& red = cluster_.red_;
-    red.arrived = 0;
-    red.width = -1;
-    for (auto& slot : red.contrib) slot.clear();
-    red.max_time = 0;
-    red.max_rank = -1;
-    std::fill(red.arrived_mask.begin(), red.arrived_mask.end(), std::uint8_t{0});
-    std::fill(cluster_.terminal_.begin(), cluster_.terminal_.end(), std::uint8_t{0});
-    cluster_.terminal_count_ = 0;
+    cluster_.reset_epoch();
     rec.last = out;
     rec.arrived = 0;
     rec.max_arrival = 0;
@@ -325,15 +315,10 @@ void RankContext::allreduce_sum(double* values, int count) {
       const auto& slot = red.contrib[static_cast<std::size_t>(r)];
       for (int i = 0; i < count; ++i) red.result[static_cast<std::size_t>(i)] += slot[i];
     }
-    for (auto& slot : red.contrib) slot.clear();
-    red.width = -1;
     red.done_time = red.max_time + tree_cost;
     red.done_gate_time = red.max_time;
     red.done_gate_rank = red.max_rank;
-    red.max_time = 0;
-    red.max_rank = -1;
-    red.arrived = 0;
-    std::fill(red.arrived_mask.begin(), red.arrived_mask.end(), std::uint8_t{0});
+    red.clear_slots(n);
     ++red.generation;
     cluster_.sched_.wake_all();
   } else {
@@ -386,6 +371,15 @@ bool VirtualCluster::reduction_blocked_by_failure() const {
   return false;
 }
 
+void VirtualCluster::reset_epoch() {
+  const int n = spec_.num_ranks();
+  channels_.clear();
+  deaths_.clear();
+  red_.clear_slots(n);
+  terminal_.assign(static_cast<std::size_t>(n), 0);
+  terminal_count_ = 0;
+}
+
 void VirtualCluster::poison(AbortKind kind) {
   if (!aborted_) {
     aborted_ = true;
@@ -398,16 +392,7 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
   const int n = spec_.num_ranks();
   aborted_ = false;
   abort_kind_ = AbortKind::None;
-  channels_.clear();
-  deaths_.clear();
-  terminal_.assign(static_cast<std::size_t>(n), 0);
-  terminal_count_ = 0;
-  red_.arrived = 0;
-  red_.width = -1;
-  for (auto& slot : red_.contrib) slot.clear();
-  red_.max_time = 0;
-  red_.max_rank = -1;
-  red_.arrived_mask.assign(static_cast<std::size_t>(n), 0);
+  reset_epoch();
   recovery_ = RecoverySync{};
   // tracing turns on via the spec or the QUDA_SIM_TRACE environment variable
   // (whose value doubles as the Chrome JSON export path)

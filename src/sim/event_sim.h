@@ -281,6 +281,10 @@ private:
   // mark the cluster failed and wake every blocked rank
   void poison(AbortKind kind);
 
+  // start a fresh failure epoch (run() start and the recovery rendezvous):
+  // no channel, reduction arrival, death record or terminal flag survives
+  void reset_epoch();
+
   // record a process death for the current failure epoch and wake everyone
   void register_death(int rank, DeathKind kind, double time_us);
   // set rank's terminal flag, counting it in terminal_count_ on first marking
@@ -326,6 +330,16 @@ private:
     // reduction still completes) from "can never complete" (survivors must
     // raise RankFailure)
     std::vector<std::uint8_t> arrived_mask;
+
+    // drop the in-flight generation's arrivals (generation keeps counting)
+    void clear_slots(int n) {
+      arrived = 0;
+      width = -1;
+      for (auto& slot : contrib) slot.clear();
+      max_time = 0;
+      max_rank = -1;
+      arrived_mask.assign(static_cast<std::size_t>(n), 0);
+    }
   } red_;
 
   // process-failure state of the current epoch: registered deaths, and the

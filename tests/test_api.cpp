@@ -215,6 +215,18 @@ TEST(PublicApi, MultiDimGridMatchesTimeSlicing) {
   EXPECT_LT(std::sqrt(num / den), 1e-7);
 }
 
+TEST(PublicApi, CgSolverOnMultiDimGrid) {
+  // CGNR applies the dagger operator, whose gamma5 temporary must carry the
+  // grid's z ghost zones as well as t's
+  ApiFixture f;
+  f.params.solver = SolverType::CG;
+  f.params.grid = {1, 1, 2, 2};
+  HostSpinorField x(f.g);
+  const InvertResult r = invert_multi_gpu(sim::ClusterSpec::jlab_9g(4), f.u, f.b, x, f.params);
+  EXPECT_TRUE(r.stats.converged) << r.stats.summary();
+  EXPECT_LT(f.reference_residual(x), 1e-8);
+}
+
 TEST(PublicApi, RejectsMismatchedGrid) {
   ApiFixture f;
   HostSpinorField x(f.g);

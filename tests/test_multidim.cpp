@@ -11,10 +11,12 @@
 #include "parallel/parallel_op.h"
 #include "sim/event_sim.h"
 #include "solvers/bicgstab.h"
+#include "time_slicing.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -379,26 +381,27 @@ TEST(MultiDimProperty, RandomGridHaloDslashMatchesReference) {
 }
 
 // a 1x1x1xN grid is exactly the paper's 1-D time decomposition: the 4-D
-// block utilities must reproduce the legacy 1-D slicers byte-for-byte
+// block utilities must reproduce an independent 1-D slicer byte-for-byte
 TEST(MultiDimProperty, DegenerateTimeGridMatchesLegacy1D) {
   const Geometry g({4, 4, 4, 16});
   HostGaugeField u(g);
   HostSpinorField in(g);
   make_random_gauge(u, 17000);
   make_random_spinor(in, 17001);
+  const HostCloverField t = make_clover_term(u, 1.0);
 
   for (const int n : {2, 4, 8}) {
     const GridTopology topo{{1, 1, 1, n}};
-    ASSERT_EQ(core::local_geometry(g, topo).dims().t, core::local_geometry(g, n).dims().t);
+    ASSERT_EQ(core::local_geometry(g, topo).dims(), time_slicing::local_geometry(g, n).dims());
     HostSpinorField merged_md(g), merged_1d(g);
     for (int r = 0; r < n; ++r) {
       const HostSpinorField ls_md = core::slice_spinor(in, topo, r);
-      const HostSpinorField ls_1d = core::slice_spinor(in, r, n);
+      const HostSpinorField ls_1d = time_slicing::slice_spinor(in, r, n);
       for (std::int64_t i = 0; i < ls_md.geom().volume(); ++i)
         ASSERT_EQ(norm2(ls_md[i] - ls_1d[i]), 0.0) << "ranks " << n << " site " << i;
 
       const HostGaugeField lu_md = core::slice_gauge(u, topo, r);
-      const HostGaugeField lu_1d = core::slice_gauge(u, r, n);
+      const HostGaugeField lu_1d = time_slicing::slice_gauge(u, r, n);
       for (std::int64_t i = 0; i < lu_md.geom().volume(); ++i) {
         const Coords lc = lu_md.geom().coords(i);
         for (int mu = 0; mu < 4; ++mu)
@@ -406,8 +409,14 @@ TEST(MultiDimProperty, DegenerateTimeGridMatchesLegacy1D) {
               << "ranks " << n << " site " << i << " mu " << mu;
       }
 
+      const HostCloverField lt_md = core::slice_clover(t, topo, r);
+      const HostCloverField lt_1d = time_slicing::slice_clover(t, r, n);
+      for (std::int64_t i = 0; i < lt_md.geom().volume(); ++i)
+        ASSERT_EQ(std::memcmp(&lt_md[i], &lt_1d[i], sizeof(CloverSite<double>)), 0)
+            << "ranks " << n << " site " << i;
+
       core::merge_spinor(merged_md, ls_md, topo, r);
-      core::merge_spinor(merged_1d, ls_1d, r);
+      time_slicing::merge_spinor(merged_1d, ls_1d, r);
     }
     for (std::int64_t i = 0; i < g.volume(); ++i) {
       ASSERT_EQ(norm2(merged_md[i] - in[i]), 0.0);

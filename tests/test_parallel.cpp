@@ -12,6 +12,7 @@
 #include "sim/event_sim.h"
 #include "solvers/bicgstab.h"
 #include "solvers/mixed_precision.h"
+#include "time_slicing.h"
 
 #include <gtest/gtest.h>
 
@@ -24,59 +25,11 @@ using sim::ClusterSpec;
 using sim::RankContext;
 using sim::VirtualCluster;
 
-// --- global <-> local slicing helpers ---------------------------------------
-
-Geometry local_geometry(const Geometry& global, int n_ranks) {
-  LatticeDims d = global.dims();
-  d.t /= n_ranks;
-  return Geometry(d);
-}
-
-Coords to_global(const Coords& local, int rank, int t_local) {
-  Coords g = local;
-  g[3] += rank * t_local;
-  return g;
-}
-
-HostGaugeField slice_gauge(const HostGaugeField& global, int rank, int n_ranks) {
-  const Geometry lg = local_geometry(global.geom(), n_ranks);
-  HostGaugeField local(lg);
-  for (std::int64_t i = 0; i < lg.volume(); ++i) {
-    const Coords lc = lg.coords(i);
-    const Coords gc = to_global(lc, rank, lg.dims().t);
-    for (int mu = 0; mu < 4; ++mu) local.link(mu, lc) = global.link(mu, gc);
-  }
-  return local;
-}
-
-HostSpinorField slice_spinor(const HostSpinorField& global, int rank, int n_ranks) {
-  const Geometry lg = local_geometry(global.geom(), n_ranks);
-  HostSpinorField local(lg);
-  for (std::int64_t i = 0; i < lg.volume(); ++i) {
-    const Coords lc = lg.coords(i);
-    local[i] = global.at(to_global(lc, rank, lg.dims().t));
-  }
-  return local;
-}
-
-HostCloverField slice_clover(const HostCloverField& global, int rank, int n_ranks) {
-  const Geometry lg = local_geometry(global.geom(), n_ranks);
-  HostCloverField local(lg);
-  for (std::int64_t i = 0; i < lg.volume(); ++i) {
-    const Coords lc = lg.coords(i);
-    local[i] = global[global.geom().linear_index(to_global(lc, rank, lg.dims().t))];
-  }
-  return local;
-}
-
-void merge_spinor(HostSpinorField& global, const HostSpinorField& local, int rank, int n_ranks) {
-  const Geometry& lg = local.geom();
-  (void)n_ranks;
-  for (std::int64_t i = 0; i < lg.volume(); ++i) {
-    const Coords lc = lg.coords(i);
-    global.at(to_global(lc, rank, lg.dims().t)) = local[i];
-  }
-}
+using time_slicing::local_geometry;
+using time_slicing::merge_spinor;
+using time_slicing::slice_clover;
+using time_slicing::slice_gauge;
+using time_slicing::slice_spinor;
 
 double rel_dist2(const HostSpinorField& a, const HostSpinorField& b) {
   double num = 0, den = 0;
@@ -97,7 +50,7 @@ HostSpinorField parallel_hopping(const HostGaugeField& gauge, const HostSpinorFi
   std::vector<HostSpinorField> outs(static_cast<std::size_t>(n_ranks));
 
   cluster.run([&](RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
+    comm::QmpGrid grid(ctx, comm::GridTopology::time_only(n_ranks));
     const int rank = ctx.rank();
     const Geometry lg = local_geometry(gg, n_ranks);
 
@@ -129,7 +82,7 @@ HostSpinorField parallel_hopping(const HostGaugeField& gauge, const HostSpinorFi
   });
 
   HostSpinorField global_out(gg);
-  for (int r = 0; r < n_ranks; ++r) merge_spinor(global_out, outs[static_cast<std::size_t>(r)], r, n_ranks);
+  for (int r = 0; r < n_ranks; ++r) merge_spinor(global_out, outs[static_cast<std::size_t>(r)], r);
   return global_out;
 }
 
@@ -225,7 +178,7 @@ TEST(GaugeGhostExchange, GhostEqualsNeighborLastSlice) {
 
   VirtualCluster cluster(ClusterSpec::jlab_9g(n_ranks));
   cluster.run([&](RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
+    comm::QmpGrid grid(ctx, comm::GridTopology::time_only(n_ranks));
     const Geometry lg = local_geometry(g, n_ranks);
     const HostGaugeField lu = slice_gauge(u, ctx.rank(), n_ranks);
     GaugeField<PrecDouble> dev_u = upload_gauge<PrecDouble>(lu, Reconstruct::Twelve);
@@ -237,9 +190,9 @@ TEST(GaugeGhostExchange, GhostEqualsNeighborLastSlice) {
     for (int par = 0; par < 2; ++par) {
       const Parity parity = par == 0 ? Parity::Even : Parity::Odd;
       for (std::int64_t fs = 0; fs < lg.half_spatial_volume(); ++fs) {
-        const Coords c = face_coords(lg, parity, lg.dims().t - 1, fs);
+        const Coords c = lg.face_site_coords(3, parity, lg.dims().t - 1, fs);
         const SU3<double> expect = bu.link(3, c);
-        const SU3<double> got = dev_u.load_ghost(parity, fs);
+        const SU3<double> got = dev_u.load_ghost(3, parity, fs);
         EXPECT_LT(frobenius_dist2(got, expect), 1e-20);
       }
     }
@@ -272,7 +225,7 @@ TEST(ParallelSolver, DistributedBiCGstabMatchesReferenceResidual) {
   std::vector<SolverStats> stats(static_cast<std::size_t>(n_ranks));
 
   cluster.run([&](RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
+    comm::QmpGrid grid(ctx, comm::GridTopology::time_only(n_ranks));
     const int rank = ctx.rank();
     const Geometry lg = local_geometry(s.g, n_ranks);
 
@@ -317,7 +270,7 @@ TEST(ParallelSolver, DistributedBiCGstabMatchesReferenceResidual) {
   }
 
   HostSpinorField x(s.g);
-  for (int r = 0; r < n_ranks; ++r) merge_spinor(x, xs[static_cast<std::size_t>(r)], r, n_ranks);
+  for (int r = 0; r < n_ranks; ++r) merge_spinor(x, xs[static_cast<std::size_t>(r)], r);
 
   // end-to-end: the merged solution satisfies the reference operator
   WilsonParams wp;
@@ -336,7 +289,7 @@ TEST(ParallelSolver, MixedPrecisionDistributedSolve) {
   std::vector<SolverStats> stats(static_cast<std::size_t>(n_ranks));
 
   cluster.run([&](RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
+    comm::QmpGrid grid(ctx, comm::GridTopology::time_only(n_ranks));
     const int rank = ctx.rank();
     const Geometry lg = local_geometry(s.g, n_ranks);
 
@@ -387,7 +340,7 @@ TEST(ParallelTiming, OverlapHidesTransfersForLargeLocalVolume) {
     for (CommPolicy policy : {CommPolicy::NoOverlap, CommPolicy::Overlap}) {
       VirtualCluster cluster(ClusterSpec::jlab_9g(ranks));
       cluster.run([&](RankContext& ctx) {
-        comm::QmpGrid grid(ctx);
+        comm::QmpGrid grid(ctx, comm::GridTopology::time_only(ranks));
         HaloDslashConfig cfg;
         cfg.policy = policy;
         cfg.exec = Execution::Modeled;

@@ -189,6 +189,16 @@ TEST(ModeledSolver, OomIsReportedNotCrashed) {
   EXPECT_EQ(r.effective_gflops, 0.0);
 }
 
+TEST(ModeledGrid, MismatchedTopologyThrows) {
+  // the grid resolves exactly as in invert_multi_gpu: all ones is the time
+  // ring, anything else must multiply to the rank count
+  VirtualCluster cluster(ClusterSpec::jlab_9g(4));
+  ModeledSolverConfig cfg;
+  cfg.local = {8, 8, 8, 8};
+  cfg.topology = comm::GridTopology{{1, 1, 2, 4}}; // 8 ranks on a 4-rank cluster
+  EXPECT_THROW((void)run_modeled_solver(cluster, cfg), std::invalid_argument);
+}
+
 // --- qualitative scaling shapes ------------------------------------------------
 
 TEST(ModeledSolver, WeakScalingIsNearLinear) {

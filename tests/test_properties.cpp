@@ -145,7 +145,7 @@ TEST(ExecutionModes, ModeledAndRealChargeIdenticalTime) {
     sim::VirtualCluster cluster(sim::ClusterSpec::jlab_9g(ranks));
     std::vector<double> clocks(static_cast<std::size_t>(ranks));
     cluster.run([&](sim::RankContext& ctx) {
-      comm::QmpGrid grid(ctx);
+      comm::QmpGrid grid(ctx, comm::GridTopology::time_only(ranks));
       parallel::HaloDslashConfig cfg;
       cfg.policy = CommPolicy::Overlap;
       cfg.exec = exec;
